@@ -11,6 +11,7 @@ from .core import (
     HkReport,
     Item,
     Iv,
+    PartitionTree,
     Rat,
     TaggedPartition,
     ValueWithError,
@@ -24,6 +25,7 @@ from .core import (
     rat,
     rat_str,
     riemann_sum,
+    sample_partitions,
     validate_partition,
 )
 from .sets import (

@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DepthExhaustedError,
+    GaugeKitError,
     InvalidGaugeError,
     PartitionMergeError,
 )
@@ -247,7 +248,9 @@ class Gauge:
     def radius_at(self, x: Fraction) -> Fraction:
         try:
             r = Fraction(self.radius(x))
-        except Exception as exc:  # noqa: BLE001 - any failure is an invalid gauge
+        except GaugeKitError:
+            raise  # already classified, e.g. an undecided set query with its bounds
+        except Exception as exc:  # noqa: BLE001 - any other failure is an invalid gauge
             raise InvalidGaugeError(f"gauge {self.name!r} failed at {x}: {exc}") from exc
         if r <= 0:
             raise InvalidGaugeError(f"gauge {self.name!r} non-positive at {x}: {r}")
@@ -308,15 +311,126 @@ def riemann_sum(f, p: TaggedPartition) -> ValueWithError:
     return ValueWithError(total, err)
 
 
-def _candidates(iv: Iv, gauge: Gauge, rng: Optional[random.Random]) -> list:
-    cands = list(gauge.suggestions(iv))
-    for d in (iv.lo, iv.hi, iv.midpoint):
-        cands.append(d)
-    # dedupe preserving order
-    out = list(dict.fromkeys(cands))
-    if rng is not None:
-        rng.shuffle(out)
-    return out
+def _candidates(iv: Iv, gauge: Gauge) -> tuple:
+    """Suggested tags, then the endpoints and the midpoint, deduplicated."""
+    return tuple(dict.fromkeys(gauge.suggestions(iv) + (iv.lo, iv.hi, iv.midpoint)))
+
+
+def _order(n: int, rng: Optional[random.Random]):
+    """The order in which a node's ``n`` candidates are tried.
+
+    ``rng.shuffle`` draws depend on the list length alone, so shuffling
+    positions permutes exactly as shuffling the candidates themselves would.
+    """
+    if rng is None:
+        return range(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    return order
+
+
+def _pick(iv: Iv, cands: tuple, verdicts: list, order, gauge: Gauge):
+    """The first acceptable candidate in ``order``, or None.
+
+    ``verdicts`` caches per candidate whether its ball strictly contains
+    ``iv`` (None: not yet evaluated). A radius is evaluated only when the
+    walk reaches a candidate whose verdict is unknown, so the points
+    evaluated, and the first one that raises, are those of an uncached walk
+    in the same order.
+    """
+    for j in order:
+        ok = verdicts[j]
+        if ok is None:
+            x = cands[j]
+            r = gauge.radius_at(x)
+            ok = verdicts[j] = x - r < iv.lo and iv.hi < x + r
+        if ok:
+            return cands[j]
+    return None
+
+
+class PartitionTree:
+    """The bisection of one domain under one gauge, recorded for replay.
+
+    A node is accepted iff one of its candidate tags is, and whether a
+    candidate is acceptable depends only on the gauge's radius there, so
+    the cell layout is the same under every candidate order: an RNG only
+    picks which acceptable tag each cell gets. The first
+    :func:`cousin_partition` call given an empty tree walks the bisection
+    and records every node in depth-first preorder, the order in which
+    every build visits them. Later calls replay the record with one shuffle
+    per node, evaluating a radius only where the candidate's verdict is
+    still unknown.
+
+    ``nodes`` holds, per node, either the candidate count of a bisected
+    node (all of its candidates were rejected) or a tuple
+    ``(cell, candidates, verdicts)`` for a cell, where ``verdicts[j]`` is
+    True (accepted), False (rejected) or None (not yet evaluated). A tree
+    is bound to the domain, the gauge object and the resolved depth cap of
+    its first build; the radius and tag oracle must be pure functions of
+    their argument.
+    """
+
+    def __init__(self):
+        self.domain: Optional[Iv] = None
+        self.gauge: Optional[Gauge] = None
+        self.max_depth: Optional[int] = None
+        self.nodes: list = []
+
+    def _bind(self, domain: Iv, gauge: Gauge, max_depth: int) -> None:
+        if self.gauge is None:
+            self.domain, self.gauge, self.max_depth = domain, gauge, max_depth
+        elif (
+            self.domain != domain
+            or self.gauge is not gauge
+            or self.max_depth != max_depth
+        ):
+            raise ValueError(
+                f"partition tree of {self.domain} under {self.gauge.name!r} "
+                f"(depth cap {self.max_depth}) cannot replay {domain} under "
+                f"{gauge.name!r} (depth cap {max_depth})"
+            )
+
+    def _grow(self, rng: Optional[random.Random]) -> list:
+        """Walk the bisection depth first, record it, return its items."""
+        domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
+        nodes = []
+        items = []
+        stack = [(domain, 0)]
+        while stack:
+            iv, depth = stack.pop()
+            cands = _candidates(iv, gauge)
+            verdicts = [None] * len(cands)
+            tag = _pick(iv, cands, verdicts, _order(len(cands), rng), gauge)
+            if tag is not None:
+                items.append(Item(tag, iv))
+                nodes.append((iv, cands, verdicts))
+                continue
+            if depth >= max_depth:
+                raise DepthExhaustedError(
+                    f"no acceptable tag for {iv} after {depth} bisections "
+                    f"under gauge {gauge.name!r}",
+                    interval=iv,
+                )
+            nodes.append(len(cands))
+            m = iv.midpoint
+            stack.append((Iv(m, iv.hi), depth + 1))
+            stack.append((Iv(iv.lo, m), depth + 1))
+        # recorded only once complete, so a failed build leaves the tree empty
+        self.nodes = nodes
+        return items
+
+    def _replay(self, rng: Optional[random.Random]) -> list:
+        gauge = self.gauge
+        items = []
+        for node in self.nodes:
+            if node.__class__ is int:
+                _order(node, rng)  # keep the RNG stream in step
+                continue
+            iv, cands, verdicts = node
+            tag = _pick(iv, cands, verdicts, _order(len(cands), rng), gauge)
+            items.append(Item(tag, iv))
+        return items
 
 
 def cousin_partition(
@@ -324,6 +438,7 @@ def cousin_partition(
     gauge: Gauge,
     max_depth: Optional[int] = None,
     rng: Optional[random.Random] = None,
+    tree: Optional[PartitionTree] = None,
 ) -> TaggedPartition:
     """Build a partition of ``domain`` subordinate to ``gauge`` by bisection.
 
@@ -333,34 +448,47 @@ def cousin_partition(
     its exact midpoint. A ``rng`` shuffles the candidate order, which is the
     only source of randomness; the split point never moves.
 
+    Given a ``tree`` (see :class:`PartitionTree`), the first call records
+    the bisection in it and later calls replay it: the same partition as a
+    fresh build with the same ``rng``, with the same radius error at the
+    same node, but each candidate of a node is evaluated at most once and
+    the tag oracle is consulted once per node. Raises ValueError if
+    ``tree`` was recorded for another domain, gauge object or depth cap.
+
     Raises DepthExhaustedError carrying the smallest unaccepted interval if
     the cap is hit.
     """
     if max_depth is None:
         max_depth = MAX_DEPTH_DEFAULT
-    items = []
-    stack = [(domain, 0)]
-    while stack:
-        iv, depth = stack.pop()
-        accepted = False
-        for x in _candidates(iv, gauge, rng):
-            r = gauge.radius_at(x)
-            if x - r < iv.lo and iv.hi < x + r:
-                items.append(Item(x, iv))
-                accepted = True
-                break
-        if accepted:
-            continue
-        if depth >= max_depth:
-            raise DepthExhaustedError(
-                f"no acceptable tag for {iv} after {depth} bisections "
-                f"under gauge {gauge.name!r}",
-                interval=iv,
-            )
-        m = iv.midpoint
-        stack.append((Iv(m, iv.hi), depth + 1))
-        stack.append((Iv(iv.lo, m), depth + 1))
-    return TaggedPartition.of(items, domain)
+    if tree is None:
+        tree = PartitionTree()
+    tree._bind(domain, gauge, max_depth)
+    items = tree._replay(rng) if tree.nodes else tree._grow(rng)
+    # depth-first, left half first: the cells already come sorted
+    return TaggedPartition(tuple(items), domain)
+
+
+def sample_partitions(
+    domain: Iv,
+    gauge: Gauge,
+    samples: int,
+    master: random.Random,
+    max_depth: Optional[int] = None,
+    tree: Optional[PartitionTree] = None,
+):
+    """Yield ``samples`` partitions of ``domain`` subordinate to ``gauge``.
+
+    Sample 0 uses the deterministic candidate order; sample i > 0 shuffles
+    with ``Random(master.getrandbits(64))``, drawn when the sample is
+    requested. All samples replay one :class:`PartitionTree` (``tree``, or
+    a fresh one), so the gauge fixes the cells and the seed only picks the
+    tags.
+    """
+    if tree is None:
+        tree = PartitionTree()
+    for i in range(samples):
+        rng = None if i == 0 else random.Random(master.getrandbits(64))
+        yield cousin_partition(domain, gauge, max_depth=max_depth, rng=rng, tree=tree)
 
 
 def merge_partitions(parts: Sequence[TaggedPartition]) -> TaggedPartition:
@@ -455,9 +583,7 @@ def hk_estimate(
         eps = Fraction(eps)
         gauge = family(eps)
         sums = []
-        for i in range(samples_per_eps):
-            rng = None if i == 0 else random.Random(master.getrandbits(64))
-            part = cousin_partition(domain, gauge, max_depth=max_depth, rng=rng)
+        for part in sample_partitions(domain, gauge, samples_per_eps, master, max_depth):
             s = riemann_sum(f, part)
             if reverse:
                 s = -s

@@ -23,13 +23,14 @@ from . import sets
 from .core import (
     Gauge,
     Iv,
+    PartitionTree,
     TaggedPartition,
     ValueWithError,
     constant_gauge,
-    cousin_partition,
     hk_estimate,
     rat_str,
     riemann_sum,
+    sample_partitions,
 )
 from .errors import DomainError, UnsupportedInstanceError
 from .funcs import (
@@ -47,6 +48,8 @@ from .funcs import (
 )
 from .variation import (
     VariationReport,
+    _variation_report,
+    _variation_row,
     gauge_dist_complement,
     test_negligible_variation,
 )
@@ -214,7 +217,7 @@ def cov_check(
         # endpoints negate, matching the orientation convention
         est = hk_estimate(
             inst.f, g_a.value, g_b.value, lambda e: constant_gauge(e),
-            schedule, samples_per_eps=samples, seed=seed + 17,
+            schedule, samples_per_eps=samples, seed=seed + 17, max_depth=max_depth,
         )
         vals = [s.value for s in est.final_sums]
         errs = max(s.err for s in est.final_sums)
@@ -223,18 +226,21 @@ def cov_check(
         lhs_channel = "sampled"
     fgh = integrand_with_convention(inst)
     master = random.Random(seed)
+    ncv_master = random.Random(seed + 1)
     rows = []
+    ncv_rows = []
     witness = None
+    ncv_witness = None
     refuted = False
     for eps in schedule:
         eps = Fraction(eps)
+        # both channels sample the same gauge: one tree serves the two
         gauge = proof_gauge(inst, eps)
+        tree = PartitionTree()
         sums = []
         worst = ZERO
         ok = True
-        for i in range(samples):
-            rng = None if i == 0 else random.Random(master.getrandbits(64))
-            part = cousin_partition(interval, gauge, max_depth=max_depth, rng=rng)
+        for part in sample_partitions(interval, gauge, samples, master, max_depth, tree):
             s = riemann_sum(fgh, part)
             sums.append(s)
             disc = abs(s.value - lhs.value)
@@ -246,18 +252,13 @@ def cov_check(
         if not ok:
             refuted = True
         rows.append(CovRow(eps, tuple(sums), worst, ok))
+        parts = sample_partitions(interval, gauge, samples, ncv_master, max_depth, tree)
+        row, found = _variation_row(inst.fog, inst.B, eps, gauge, samples, parts)
+        ncv_rows.append(row)
+        if ncv_witness is None:
+            ncv_witness = found
     verdict = "refuted" if refuted else "holds-evidence"
-
-    ncv = test_negligible_variation(
-        inst.fog,
-        inst.B,
-        lambda e: proof_gauge(inst, e),
-        schedule,
-        samples=samples,
-        seed=seed + 1,
-        domain=interval,
-        set_name="B",
-    )
+    ncv = _variation_report(inst.fog, "B", interval, ncv_rows, ncv_witness)
     ncv_ok = all(r.ncv_pass for r in ncv.rows)
     consistent = ncv_ok == (verdict == "holds-evidence")
     return CovReport(

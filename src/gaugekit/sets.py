@@ -239,13 +239,15 @@ def _locate(s: GeneratedSet, x: Fraction, depth_cap: int):
 
 
 @lru_cache(maxsize=200_000)
-def _locate_default(kind: str, base: Iv, x: Fraction):
-    return _locate(GeneratedSet(kind, base), x, DEPTH_CAP_DEFAULT)
+def _locate_default(kind: str, base: Iv, x: Fraction, depth_cap: int):
+    # the cap is part of the key: an answer found under one cap is not an
+    # answer under a smaller one
+    return _locate(GeneratedSet(kind, base), x, depth_cap)
 
 
 def _locate_memo(s: GeneratedSet, x: Fraction, depth_cap=None):
     if depth_cap is None:
-        return _locate_default(s.kind, s.base, x)
+        return _locate_default(s.kind, s.base, x, DEPTH_CAP_DEFAULT)
     return _locate(s, x, depth_cap)
 
 

@@ -19,11 +19,13 @@ from . import sets
 from .core import (
     Gauge,
     Iv,
+    PartitionTree,
     TaggedPartition,
     ValueWithError,
     cousin_partition,
     merge_partitions,
     rat_str,
+    sample_partitions,
 )
 from .errors import UnsupportedInstanceError
 from .funcs import FailureSet, FnSpec, nearest_set_points
@@ -347,6 +349,50 @@ def _below(v: ValueWithError, eps: Fraction) -> bool:
     return v.value + v.err < eps
 
 
+def _variation_row(f, E, eps: Fraction, gauge: Gauge, samples: int, parts):
+    """Grade one epsilon's sampled partitions on both criteria.
+
+    Returns the row and the first sampled partition whose signed sum
+    certifiably reaches eps (as a Witness), or None.
+    """
+    max_abs = ValueWithError(ZERO)
+    max_signed = ValueWithError(ZERO)
+    nv_pass = True
+    ncv_pass = True
+    witness = None
+    for part in parts:
+        a, s = variation_sums(f, part, E)
+        if a.value > max_abs.value:
+            max_abs = a
+        if s.value > max_signed.value:
+            max_signed = s
+        if not _below(a, eps):
+            nv_pass = False
+        if not _below(s, eps):
+            ncv_pass = False
+            if witness is None and _exceeds(s, eps):
+                witness = Witness(part, gauge.name, eps, a, s)
+    row = VariationRow(eps, gauge.name, samples, max_abs, max_signed, nv_pass, ncv_pass)
+    return row, witness
+
+
+def _variation_report(f, set_name: str, domain: Iv, rows, witness) -> VariationReport:
+    if all(r.nv_pass for r in rows):
+        verdict = "NV-evidence"
+    elif all(r.ncv_pass for r in rows):
+        verdict = "NCV-only-evidence"
+    else:
+        verdict = "refuted"
+    return VariationReport(
+        fn_name=getattr(f, "name", "f"),
+        set_name=set_name,
+        domain=domain,
+        rows=tuple(rows),
+        verdict=verdict,
+        witness=witness,
+    )
+
+
 def test_negligible_variation(
     f,
     E,
@@ -363,51 +409,26 @@ def test_negligible_variation(
     NV evidence requires Σ|Δf| < eps on every sampled partition at every
     eps; the signed criterion alone yields NCV-only evidence. A sampled
     partition whose signed sum reaches eps refutes both (for the gauge the
-    builder produced) and is returned as the witness.
+    builder produced) and is returned as the witness. Consecutive epsilons
+    whose builder returns the same gauge object share one partition tree.
     """
     if domain is None:
         domain = f.domain
     master = random.Random(seed)
     rows = []
     witness = None
+    tree = None
     for eps in schedule:
         eps = Fraction(eps)
         gauge = gauge_builder(eps)
-        max_abs = ValueWithError(ZERO)
-        max_signed = ValueWithError(ZERO)
-        nv_pass = True
-        ncv_pass = True
-        for i in range(samples):
-            rng = None if i == 0 else random.Random(master.getrandbits(64))
-            part = cousin_partition(domain, gauge, max_depth=max_depth, rng=rng)
-            a, s = variation_sums(f, part, E)
-            if a.value > max_abs.value:
-                max_abs = a
-            if s.value > max_signed.value:
-                max_signed = s
-            if not _below(a, eps):
-                nv_pass = False
-            if not _below(s, eps):
-                ncv_pass = False
-                if witness is None and _exceeds(s, eps):
-                    witness = Witness(part, gauge.name, eps, a, s)
-        rows.append(
-            VariationRow(eps, gauge.name, samples, max_abs, max_signed, nv_pass, ncv_pass)
-        )
-    if all(r.nv_pass for r in rows):
-        verdict = "NV-evidence"
-    elif all(r.ncv_pass for r in rows):
-        verdict = "NCV-only-evidence"
-    else:
-        verdict = "refuted"
-    return VariationReport(
-        fn_name=getattr(f, "name", "f"),
-        set_name=set_name,
-        domain=domain,
-        rows=tuple(rows),
-        verdict=verdict,
-        witness=witness,
-    )
+        if tree is None or tree.gauge is not gauge:
+            tree = PartitionTree()
+        parts = sample_partitions(domain, gauge, samples, master, max_depth, tree)
+        row, found = _variation_row(f, E, eps, gauge, samples, parts)
+        rows.append(row)
+        if witness is None:
+            witness = found
+    return _variation_report(f, set_name, domain, rows, witness)
 
 
 # the name pattern collides with pytest's collector

@@ -23,6 +23,7 @@ from gaugekit.errors import (
     DepthExhaustedError,
     InvalidGaugeError,
     PartitionMergeError,
+    UndecidedError,
 )
 from gaugekit import funcs, sets, variation
 
@@ -89,6 +90,16 @@ class TestSubordination:
         bad = Gauge(radius=lambda x: F(0), name="zero")
         with pytest.raises(InvalidGaugeError):
             is_subordinate(p, bad)
+
+    def test_classified_radius_errors_pass_through(self):
+        # an undecided set query keeps its class and its certified bounds
+        g = variation.gauge_dist_complement(sets.svc())
+        with pytest.raises(UndecidedError) as exc:
+            g.radius_at(F(1, 7))
+        assert exc.value.bounds == sets.distance_bounds(sets.svc(), F(1, 7))
+        # a foreign failure is still an invalid gauge
+        with pytest.raises(InvalidGaugeError):
+            Gauge(radius=lambda x: 1 / (x - x), name="div").radius_at(F(1, 2))
 
 
 class TestRiemannSum:

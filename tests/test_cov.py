@@ -108,6 +108,34 @@ class TestCovCheck:
         rep = cov_check(inst, Iv(-1, 0), SCHED, samples=3, seed=12)
         assert rep.lhs.value == -1
 
+    def test_depth_cap_reaches_every_channel(self):
+        # B = {1/3} with radius 2^-70 there: its cell needs ~70 bisections,
+        # past the default cap of 64, in the Riemann and the NCV channel
+        import dataclasses
+
+        from gaugekit import constant_gauge
+        from gaugekit.errors import DepthExhaustedError
+        from gaugekit.funcs import FiniteFailureSet
+
+        p = F(1, 3)
+        base = lookup_instance("identity-sub")
+        fog = dataclasses.replace(base.fog, modulus=lambda x, eps: abs(x - p) / 2)
+        tiny = constant_gauge(F(1, 2**70))
+        inst = dataclasses.replace(
+            base, name="deep", B=FiniteFailureSet((p,)), fog=fog,
+            ncv_gauge=lambda eps: tiny,
+        )
+        rep = cov_check(inst, schedule=(F(1, 10),), samples=2, max_depth=80)
+        assert rep.verdict == "holds-evidence" and rep.consistent
+        assert rep.ncv_report.rows[0].samples == 2
+        with pytest.raises(DepthExhaustedError):
+            cov_check(inst, schedule=(F(1, 10),), samples=2)
+        # the sampled left side honours the cap too: it runs first and its
+        # constant gauge of 1/10 needs depth 3 on [0, 1]
+        sampled = dataclasses.replace(inst, F=None)
+        with pytest.raises(DepthExhaustedError, match=r"const\(1/10\)"):
+            cov_check(sampled, schedule=(F(1, 10),), samples=2, max_depth=2)
+
     def test_ftc_is_the_f_one_instance(self):
         # same code path, same seed: identical values on both channels
         g = lookup("cantor_abs")

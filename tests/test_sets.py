@@ -133,6 +133,18 @@ class TestMember:
         lo, hi = distance_bounds(S, F(1, 3), depth_cap=50)
         assert lo == 0 and hi > 0
 
+    def test_cached_answer_does_not_outlive_its_cap(self):
+        x = F(5, 1024)
+        assert member(S, x)
+        old = sets.DEPTH_CAP_DEFAULT
+        sets.set_depth_cap(1)
+        try:
+            with pytest.raises(UndecidedError):
+                member(S, x)
+        finally:
+            sets.set_depth_cap(old)
+        assert member(S, x)
+
 
 class TestDistance:
     def test_cantor_center(self):
