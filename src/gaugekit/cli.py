@@ -100,12 +100,9 @@ def _parse_gauge(spec: str) -> Gauge:
 def _gauge_builder(args, set_obj):
     if getattr(args, "gauge", None):
         g = _parse_gauge(args.gauge)
-        return lambda eps: g
-    if isinstance(set_obj, sets.GeneratedSet):
-        g = variation.gauge_dist_complement(set_obj)
-        return lambda eps: g
-    unit = constant_gauge(1)
-    return lambda eps: unit
+    else:
+        g = variation.default_gauge(set_obj)
+    return lambda eps: g
 
 
 def _lookup_fn(name: str):

@@ -570,7 +570,9 @@ def hk_estimate(
     ``family`` maps each epsilon of ``schedule`` to a gauge. For each
     epsilon, ``samples_per_eps`` partitions are built: the first with the
     deterministic candidate order, the rest with seeded shuffles. Reversed
-    endpoints (a > b) negate every reported sum.
+    endpoints (a > b) negate every reported sum. With ``tol``, ``converged``
+    says whether the last epsilon's sums, error bounds included, all lie in
+    one interval of length ``tol``.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -592,7 +594,10 @@ def hk_estimate(
         rows.append(HkRow(eps, tuple(sums), max(values) - min(values)))
     converged = None
     if tol is not None:
-        converged = rows[-1].spread <= Fraction(tol)
+        last = rows[-1].sums
+        top = max(s.value + s.err for s in last)
+        bot = min(s.value - s.err for s in last)
+        converged = top - bot <= Fraction(tol)
     return HkReport(
         fn_name=getattr(f, "name", "f"),
         a=a,

@@ -39,6 +39,7 @@ from .funcs import (
     FnSpec,
     GeneratedFailureSet,
     FiniteFailureSet,
+    PredicateFailureSet,
     const_fn,
     identity_fn,
     quartic_root,
@@ -50,7 +51,7 @@ from .variation import (
     VariationReport,
     _variation_report,
     _variation_row,
-    gauge_dist_complement,
+    default_gauge,
     test_negligible_variation,
 )
 
@@ -65,8 +66,9 @@ class CovInstance:
     ``fog`` is F∘g in closed form (never re-derived numerically), ``B`` the
     declared set where the chain-rule identity fails, ``ncv_gauge`` the
     gauge family used on B, ``zero_deriv_set``/``null_sets`` the sets the
-    equivalent-condition reformulation is checked against. ``expected_full``
-    and ``expected_cells`` record the documented verdicts.
+    equivalent-condition reformulation is checked against (in any form
+    ``point_set`` accepts). ``expected_full`` and ``expected_cells`` record
+    the documented verdicts.
     """
 
     name: str
@@ -274,14 +276,6 @@ def cov_check(
     )
 
 
-def _default_on_failure_gauge(failure: FailureSet) -> Callable[[Fraction], Gauge]:
-    if isinstance(failure, GeneratedFailureSet):
-        g = gauge_dist_complement(failure.set)
-        return lambda eps: g
-    unit = constant_gauge(1, name="const(1/1)")
-    return lambda eps: unit
-
-
 def ftc_instance(g: FnSpec, name: Optional[str] = None) -> CovInstance:
     """The fundamental-theorem case: f ≡ 1 and F = identity on g's range."""
     if g.range_hint is None:
@@ -295,7 +289,7 @@ def ftc_instance(g: FnSpec, name: Optional[str] = None) -> CovInstance:
         domain=g.domain,
         B=g.failure_set,
         fog=g,
-        ncv_gauge=_default_on_failure_gauge(g.failure_set),
+        ncv_gauge=lambda eps: default_gauge(g.failure_set),
     )
 
 
@@ -483,7 +477,7 @@ def instances() -> dict:
         domain=unit,
         B=EMPTY_FAILURE,
         fog=square01,
-        ncv_gauge=_default_on_failure_gauge(EMPTY_FAILURE),
+        ncv_gauge=lambda eps: default_gauge(EMPTY_FAILURE),
         expected_full="holds",
         zero_deriv_set=FiniteFailureSet((ZERO,)),
         null_sets=(("{0}", FiniteFailureSet((ZERO,))),),
@@ -498,41 +492,40 @@ def instances() -> dict:
         domain=unit,
         B=EMPTY_FAILURE,
         fog=ident,
-        ncv_gauge=_default_on_failure_gauge(EMPTY_FAILURE),
+        ncv_gauge=lambda eps: default_gauge(EMPTY_FAILURE),
         expected_full="holds",
     )
 
     cab = cantor_abs_spec()
-    D = sets.reflected_cantor()
-    not_in_d = lambda x: not (x in D.base and sets.member(D, x))
+    D = GeneratedFailureSet(sets.reflected_cantor())
     cantorabs_unit = CovInstance(
         name="cantorabs-unit",
         f=const_fn(1, unit),
         F=identity_fn(unit),
         g=cab,
         domain=sym,
-        B=GeneratedFailureSet(D),
+        B=D,
         fog=cab,
-        ncv_gauge=_default_on_failure_gauge(GeneratedFailureSet(D)),
+        ncv_gauge=lambda eps: default_gauge(D),
         expected_full="holds",
         expected_cells=((Iv(0, 1), "fails"), (Iv(-1, 0), "fails")),
-        zero_deriv_set=not_in_d,
+        zero_deriv_set=PredicateFailureSet(lambda x: x not in D, "[-1,1] minus D"),
         null_sets=(("D", D),),
     )
 
     cfn = cantor_fn_spec()
-    C = sets.ternary_cantor()
+    C = GeneratedFailureSet(sets.ternary_cantor())
     cantor_unit = CovInstance(
         name="cantor-unit",
         f=const_fn(1, unit),
         F=identity_fn(unit),
         g=cfn,
         domain=unit,
-        B=GeneratedFailureSet(C),
+        B=C,
         fog=cfn,
-        ncv_gauge=_default_on_failure_gauge(GeneratedFailureSet(C)),
+        ncv_gauge=lambda eps: default_gauge(C),
         expected_full="fails",
-        zero_deriv_set=lambda x: not sets.member(C, x),
+        zero_deriv_set=PredicateFailureSet(lambda x: x not in C, "[0,1] minus C"),
         null_sets=(("C", C),),
     )
 

@@ -78,10 +78,7 @@ class GeneratedFailureSet(FailureSet):
         self.set = s
 
     def __contains__(self, x) -> bool:
-        x = Fraction(x)
-        if x not in self.set.base:
-            return False
-        return sets.member(self.set, x)
+        return x in self.set.base and sets.member(self.set, x)
 
     def describe(self) -> str:
         return f"generated({self.set.kind})"
@@ -131,6 +128,22 @@ class UnionFailureSet(FailureSet):
 
 
 EMPTY_FAILURE = EmptyFailureSet()
+
+
+def point_set(E) -> FailureSet:
+    """The descriptor of a set of points: a FailureSet passes through, a
+    GeneratedSet becomes a GeneratedFailureSet, None the empty set, a
+    callable a predicate and any other iterable of rationals a finite set.
+    The only code that decides what form a set was given in."""
+    if isinstance(E, FailureSet):
+        return E
+    if isinstance(E, sets.GeneratedSet):
+        return GeneratedFailureSet(E)
+    if E is None:
+        return EMPTY_FAILURE
+    if callable(E):
+        return PredicateFailureSet(E, getattr(E, "__name__", "callable"))
+    return FiniteFailureSet(E)
 
 
 def nearest_set_points(s: sets.GeneratedSet, iv: Iv) -> Tuple[Fraction, ...]:

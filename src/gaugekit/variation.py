@@ -11,6 +11,7 @@ for the gauge they were found under.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
@@ -22,57 +23,17 @@ from .core import (
     PartitionTree,
     TaggedPartition,
     ValueWithError,
+    constant_gauge,
     cousin_partition,
     merge_partitions,
     rat_str,
     sample_partitions,
 )
 from .errors import UnsupportedInstanceError
-from .funcs import FailureSet, FnSpec, nearest_set_points
+from .funcs import FiniteFailureSet, FnSpec, GeneratedFailureSet, point_set
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# membership normalization
-# ---------------------------------------------------------------------------
-
-
-def as_member(E) -> Callable[[Fraction], bool]:
-    """Coerce a set description into an exact membership predicate.
-
-    Accepts a GeneratedSet, a FailureSet descriptor, an iterable of
-    rationals, a callable, or None (empty set). Tag membership has to be
-    exact for the sums to be reproduced bit for bit, so no float tolerance
-    variant exists.
-    """
-    if E is None:
-        return lambda x: False
-    if isinstance(E, sets.GeneratedSet):
-        return lambda x: x in E.base and sets.member(E, x)
-    if isinstance(E, FailureSet):
-        return lambda x: x in E
-    if callable(E):
-        return E
-    pts = frozenset(Fraction(p) for p in E)
-    return lambda x: x in pts
-
-
-def _suggester_for(E) -> Optional[Callable[[Iv], Tuple[Fraction, ...]]]:
-    """Best-effort tag suggestions pointing into E."""
-    if isinstance(E, sets.GeneratedSet):
-        return lambda iv: nearest_set_points(E, iv)
-    if isinstance(E, FailureSet):
-        return E.suggestion_points
-    if E is not None and not callable(E):
-        pts = tuple(sorted(Fraction(p) for p in E))
-
-        def suggest(iv):
-            return tuple(p for p in pts if p in iv)
-
-        return suggest
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +42,14 @@ def _suggester_for(E) -> Optional[Callable[[Iv], Tuple[Fraction, ...]]]:
 
 
 def variation_sums(f, p: TaggedPartition, E) -> Tuple[ValueWithError, ValueWithError]:
-    """(Σ|Δf|, |ΣΔf|) over the items whose tags lie in E; exact when f is."""
-    member = as_member(E)
+    """(Σ|Δf|, |ΣΔf|) over the items whose tags lie in E, a set in any form
+    ``point_set`` accepts; exact when f is."""
+    S = point_set(E)
     abs_total = ZERO
     abs_err = ZERO
     signed_total = ZERO
     for tag, cell in p.items:
-        if not member(tag):
+        if tag not in S:
             continue
         hi = f(cell.hi)
         lo = f(cell.lo)
@@ -114,25 +76,35 @@ def gauge_dist_complement(D: sets.GeneratedSet, name: Optional[str] = None) -> G
     function locally constant off the set vanish on those cells. Suggested
     tags are the set points nearest the cell midpoint.
     """
+    S = GeneratedFailureSet(D)
 
     def radius(x):
         x = Fraction(x)
-        if x in D.base and sets.member(D, x):
-            return ONE
-        return sets.distance(D, x)
+        return ONE if x in S else sets.distance(D, x)
 
     return Gauge(
         radius=radius,
-        suggest_tag=lambda iv: nearest_set_points(D, iv),
+        suggest_tag=S.suggestion_points,
         name=name or f"dist_complement({D.kind})",
     )
+
+
+def default_gauge(E) -> Gauge:
+    """The distance gauge of a generated set, the unit constant gauge of
+    any other; E is a set in any form ``point_set`` accepts."""
+    S = point_set(E)
+    if isinstance(S, GeneratedFailureSet):
+        return gauge_dist_complement(S.set)
+    return constant_gauge(1)
 
 
 def gauge_from_zero_derivative(f: FnSpec, D, eps) -> Gauge:
     """Gauge forcing Σ|Δf| < eps over tags in D when f' = 0 on D.
 
-    Radius is the declared increment modulus eta(x, eps) on D and 1 off it;
-    within eta of such a tag the whole increment over its cell is at most
+    D is a set in any form ``point_set`` accepts; a finite one is checked
+    point by point for a certified zero derivative. Radius is the declared
+    increment modulus eta(x, eps) on D and 1 off it; within eta of such a
+    tag the whole increment over its cell is at most
     eps · |cell| / (domain width), so the tagged sums telescope below eps.
     """
     eps = Fraction(eps)
@@ -140,26 +112,24 @@ def gauge_from_zero_derivative(f: FnSpec, D, eps) -> Gauge:
         raise UnsupportedInstanceError(
             f"{f.name} carries no increment modulus; cannot build the gauge"
         )
-    if D is not None and not callable(D) and not isinstance(
-        D, (sets.GeneratedSet, FailureSet)
-    ):
-        for d in D:
-            v = f.deriv_at(Fraction(d))
+    S = point_set(D)
+    if isinstance(S, FiniteFailureSet):
+        for d in S.points:
+            v = f.deriv_at(d)
             if v.convention or v.value != 0:
                 raise UnsupportedInstanceError(
                     f"{f.name} derivative is not certified zero at {d}"
                 )
-    member = as_member(D)
 
     def radius(x):
         x = Fraction(x)
-        if member(x):
+        if x in S:
             return f.modulus(x, eps)
         return ONE
 
     return Gauge(
         radius=radius,
-        suggest_tag=_suggester_for(D),
+        suggest_tag=S.suggestion_points,
         name=f"zero_deriv({f.name},eps={rat_str(eps)})",
     )
 
@@ -175,14 +145,16 @@ def _merged_open_cover(cover: Sequence[Iv]) -> Tuple[Iv, ...]:
     return tuple(out)
 
 
-def _cover_measure(cover: Sequence[Iv]) -> Fraction:
-    return sum((c.length for c in _merged_open_cover(cover)), ZERO)
+def _cover_measure(merged: Tuple[Iv, ...]) -> Fraction:
+    return sum((c.length for c in merged), ZERO)
 
 
-def _interval_of_cover(cover: Sequence[Iv], x: Fraction) -> Optional[Iv]:
-    for c in _merged_open_cover(cover):
-        if c.lo < x < c.hi:
-            return c
+def _interval_of_cover(merged: Tuple[Iv, ...], x: Fraction) -> Optional[Iv]:
+    """The interval of a merged cover whose interior holds x, or None;
+    merged intervals are sorted and apart, so only one can."""
+    k = bisect_left(merged, x, key=lambda c: c.lo) - 1
+    if k >= 0 and x < merged[k].hi:
+        return merged[k]
     return None
 
 
@@ -190,19 +162,20 @@ def gauge_from_dini(f: FnSpec, Z, covers: dict, eps) -> Gauge:
     """Gauge forcing Σ|Δf| <= eps over tags in a null set Z with finite
     Dini bands.
 
-    ``covers`` maps each band index n to a sequence of open intervals
-    containing the band's points; the measure of the band-n cover must be
-    below eps / (2^(n+1) (n+2)), which is validated exactly here. On band n
-    the radius is min(eta1(x), distance to the cover's complement), so each
-    tagged cell stays inside the cover and contributes at most
-    (n+2)·|cell|.
+    Z is a set in any form ``point_set`` accepts. ``covers`` maps each band
+    index n to a sequence of open intervals containing the band's points;
+    the measure of the band-n cover must be below eps / (2^(n+1) (n+2)),
+    which is validated exactly here, and so is coverage of a finite or
+    generated Z. On band n the radius is min(eta1(x), distance to the
+    cover's complement), so each tagged cell stays inside the cover and
+    contributes at most (n+2)·|cell|.
     """
     eps = Fraction(eps)
     if f.dini_band is None or f.dini_eta1 is None:
         raise UnsupportedInstanceError(
             f"{f.name} carries no Dini band/eta1 certificates"
         )
-    member = as_member(Z)
+    S = point_set(Z)
     merged = {n: _merged_open_cover(cv) for n, cv in covers.items()}
     for n, cv in merged.items():
         bound = eps / (2 ** (n + 1) * (n + 2))
@@ -213,11 +186,10 @@ def gauge_from_dini(f: FnSpec, Z, covers: dict, eps) -> Gauge:
             )
 
     # coverage: every Z point must sit inside its band's cover
-    if isinstance(Z, sets.GeneratedSet):
-        _check_generated_cover(Z, f, merged)
-    elif Z is not None and not callable(Z) and not isinstance(Z, FailureSet):
-        for z in Z:
-            z = Fraction(z)
+    if isinstance(S, GeneratedFailureSet):
+        _check_generated_cover(S.set, f, merged)
+    elif isinstance(S, FiniteFailureSet):
+        for z in S.points:
             n = f.dini_band(z)
             if n not in merged or _interval_of_cover(merged[n], z) is None:
                 raise UnsupportedInstanceError(
@@ -226,7 +198,7 @@ def gauge_from_dini(f: FnSpec, Z, covers: dict, eps) -> Gauge:
 
     def radius(x):
         x = Fraction(x)
-        if not member(x):
+        if x not in S:
             return ONE
         n = f.dini_band(x)
         if n not in merged:
@@ -240,7 +212,7 @@ def gauge_from_dini(f: FnSpec, Z, covers: dict, eps) -> Gauge:
 
     return Gauge(
         radius=radius,
-        suggest_tag=_suggester_for(Z),
+        suggest_tag=S.suggestion_points,
         name=f"dini({f.name},eps={rat_str(eps)})",
     )
 
@@ -256,10 +228,13 @@ def _check_generated_cover(Z: sets.GeneratedSet, f: FnSpec, merged: dict) -> Non
     (n,) = bands
     cover = merged[n]
     for depth in range(0, sets.REALIZE_DEPTH_LIMIT + 1):
-        cells = sets.realize(Z, depth)
-        if all(
-            any(c.lo < cell.lo and cell.hi < c.hi for c in cover) for cell in cells
-        ):
+        homes = [
+            (_interval_of_cover(cover, cell.lo), _interval_of_cover(cover, cell.hi))
+            for cell in sets.realize(Z, depth)
+        ]
+        if any(lo is None or hi is None for lo, hi in homes):
+            break  # stage endpoints are set points, in every later stage too
+        if all(lo == hi for lo, hi in homes):
             return
     raise UnsupportedInstanceError(
         f"cover for band {n} never contains a realization stage of {Z.kind}"
@@ -406,11 +381,12 @@ def test_negligible_variation(
 ) -> VariationReport:
     """Sample subordinate partitions per epsilon and grade both criteria.
 
-    NV evidence requires Σ|Δf| < eps on every sampled partition at every
-    eps; the signed criterion alone yields NCV-only evidence. A sampled
-    partition whose signed sum reaches eps refutes both (for the gauge the
-    builder produced) and is returned as the witness. Consecutive epsilons
-    whose builder returns the same gauge object share one partition tree.
+    E is a set in any form ``point_set`` accepts. NV evidence requires
+    Σ|Δf| < eps on every sampled partition at every eps; the signed
+    criterion alone yields NCV-only evidence. A sampled partition whose
+    signed sum reaches eps refutes both (for the gauge the builder
+    produced) and is returned as the witness. Consecutive epsilons whose
+    builder returns the same gauge object share one partition tree.
     """
     if domain is None:
         domain = f.domain
@@ -478,12 +454,9 @@ def _with_e_suggestions(gauge: Gauge, E) -> Gauge:
     Subordination only constrains the radius, so steering tag choice toward
     E is a legitimate adversarial move.
     """
-    extra = _suggester_for(E)
-    if extra is None:
-        return gauge
 
     def suggest(iv):
-        return tuple(extra(iv)) + gauge.suggestions(iv)
+        return tuple(E.suggestion_points(iv)) + gauge.suggestions(iv)
 
     return Gauge(radius=gauge.radius, suggest_tag=suggest, name=gauge.name)
 
@@ -499,11 +472,13 @@ def adversarial_variation(
 ) -> AdversarialResult:
     """Search for a subordinate partition maximizing Σ|Δf| over E-tags.
 
-    The returned partition is subordinate to ``gauge`` (radii are never
-    touched; only split points and tag choices are adversarial).
+    E is a set in any form ``point_set`` accepts. The returned partition is
+    subordinate to ``gauge`` (radii are never touched; only split points
+    and tag choices are adversarial).
     """
     if domain is None:
         domain = f.domain
+    E = point_set(E)
     adv = _with_e_suggestions(gauge, E)
     rng = random.Random(seed)
 
@@ -538,7 +513,6 @@ def adversarial_variation(
     elif isinstance(strategy, PerCell):
         base = cousin_partition(domain, adv, max_depth=max_depth,
                                 rng=random.Random(rng.getrandbits(64)))
-        member = as_member(E)
         pieces = []
         for tag, cell in base.items:
             own = TaggedPartition.of([(tag, cell)], cell)
@@ -546,8 +520,8 @@ def adversarial_variation(
                 pieces.append(own)
                 continue
             rebuilt = build(cell)
-            a_own, _ = variation_sums(f, own, member)
-            a_new, _ = variation_sums(f, rebuilt, member)
+            a_own, _ = variation_sums(f, own, E)
+            a_new, _ = variation_sums(f, rebuilt, E)
             pieces.append(rebuilt if a_new.value > a_own.value else own)
         part = merge_partitions(pieces)
     else:
@@ -596,15 +570,16 @@ def subinterval_ncv_scan(
 ) -> NcvScanReport:
     """Run the signed criterion on E restricted to each grid interval.
 
-    A single refuted subinterval refutes negligible variation on E over the
-    whole domain: a gauge witnessing NV would force the signed sums on every
-    subinterval below epsilon.
+    E is a set in any form ``point_set`` accepts. A single refuted
+    subinterval refutes negligible variation on E over the whole domain: a
+    gauge witnessing NV would force the signed sums on every subinterval
+    below epsilon.
     """
-    member = as_member(E)
+    S = point_set(E)
     out = []
     refuted = False
     for k, cell in enumerate(grid):
-        local = lambda x, lo=cell.lo, hi=cell.hi: member(x) and lo <= x <= hi
+        local = lambda x, lo=cell.lo, hi=cell.hi: x in S and lo <= x <= hi
         rep = test_negligible_variation(
             f,
             local,
@@ -671,19 +646,25 @@ def dini_upper_estimate(g, x, h_grid: Sequence) -> DiniEstimate:
 def image_measure_bound(g, E, depth: int) -> Fraction:
     """Upper bound for the outer measure of g(E) from a realization stage.
 
-    Sums oscillation bounds of g over the stage cells (finite point sets are
-    realized as shrinking closed neighborhoods). Requires piecewise
-    monotonicity metadata; exact for exact g.
+    E is a set in any form ``point_set`` accepts that has stages: a
+    generated set, or a finite one, realized as shrinking closed
+    neighborhoods of its points. Sums oscillation bounds of g over the
+    stage cells. Requires piecewise monotonicity metadata; exact for exact g.
     """
     if getattr(g, "monotone_breakpoints", None) is None:
         raise UnsupportedInstanceError(
             f"{getattr(g, 'name', 'g')} has no monotonicity certificate"
         )
-    if isinstance(E, sets.GeneratedSet):
-        cells = sets.realize(E, depth)
-    else:
+    S = point_set(E)
+    if isinstance(S, GeneratedFailureSet):
+        cells = sets.realize(S.set, depth)
+    elif isinstance(S, FiniteFailureSet):
         h = Fraction(1, 2 ** (depth + 1))
-        cells = tuple(Iv(Fraction(p) - h, Fraction(p) + h) for p in E)
+        cells = tuple(Iv(p - h, p + h) for p in S.points)
+    else:
+        raise UnsupportedInstanceError(
+            f"{S.describe()} has no realization stages to bound g(E) with"
+        )
     total = ZERO
     for cell in cells:
         lo = max(cell.lo, g.domain.lo)

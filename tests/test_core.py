@@ -248,6 +248,17 @@ class TestHkEstimate:
         )
         assert rep.converged is True
 
+    def test_convergence_counts_error_bounds(self):
+        # one sample has spread 0, but its error bound alone exceeds tol
+        f = funcs.lookup("quartic_root")
+        rep = hk_estimate(
+            f, 0, 1, lambda e: constant_gauge(F(1, 8)), [F(1, 8)], 1,
+            seed=0, tol=F(1e-13),
+        )
+        (s,) = rep.final_sums
+        assert rep.rows[-1].spread == 0 and 2 * s.err > F(1e-13)
+        assert rep.converged is False
+
 
 def random_piecewise_gauge(rng) -> Gauge:
     breaks = sorted(
