@@ -51,7 +51,7 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iv:
     """Closed interval [lo, hi] with exact rational endpoints."""
 
@@ -59,8 +59,12 @@ class Iv:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # the builder passes Fractions already; wrapping them again would
+        # allocate a copy of each endpoint
+        if not isinstance(self.lo, Fraction):
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
@@ -85,7 +89,7 @@ class Iv:
         return f"[{self.lo},{self.hi}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueWithError:
     """A value plus a certified worst-case absolute error bound.
 
@@ -98,8 +102,10 @@ class ValueWithError:
     convention: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "err", Fraction(self.err))
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", Fraction(self.value))
+        if not isinstance(self.err, Fraction):
+            object.__setattr__(self, "err", Fraction(self.err))
         if self.err < 0:
             raise ValueError("error bound must be nonnegative")
 
@@ -301,19 +307,62 @@ def riemann_sum(f, p: TaggedPartition) -> ValueWithError:
     ``f`` is anything callable as ``f(x) -> ValueWithError`` (e.g. FnSpec).
     Exact whenever every evaluation is exact.
     """
-    total = ZERO
-    err = ZERO
-    for tag, cell in p.items:
+    return next(_riemann_sums(f, (p,)))[1]
+
+
+def _riemann_sums(f, parts):
+    """Yield ``(partition, riemann_sum(f, partition))`` for partitions
+    replayed from one tree, resumming only the cells whose tag changed."""
+
+    def term(tag, cell):
         v = f(tag)
         w = cell.length
-        total += v.value * w
-        err += v.err * w
-    return ValueWithError(total, err)
+        return (v.value * w, v.err * w)
+
+    for part, (total, err) in _sample_sums(parts, term, 2):
+        yield part, ValueWithError(total, err)
 
 
-def _candidates(iv: Iv, gauge: Gauge) -> tuple:
+def _sample_sums(parts, term, width: int):
+    """Yield ``(partition, totals)`` for partitions replayed from one tree.
+
+    ``term(tag, cell)`` is a tuple of ``width`` rationals, or None for a
+    zero term; ``totals[k]`` sums the k-th entries over the items. The
+    first partition is summed in full. Replays of one
+    :class:`PartitionTree` share their cell objects and differ only in the
+    tags of some cells, so each later partition starts from the previous
+    totals and, at each cell whose tag changed, subtracts the old tag's term
+    and adds the new one's. The arithmetic is exact, so the totals equal
+    full sums. A pure ``term`` raises the error a full sum would raise, at
+    the same tag: every unchanged tag's term was computed before without
+    error. Only the previous partition's tags are kept.
+    """
+    tags = None
+    for part in parts:
+        items = part.items
+        if tags is None:
+            totals = [ZERO] * width
+            for tag, cell in items:
+                t = term(tag, cell)
+                if t is not None:
+                    totals = [s + v for s, v in zip(totals, t)]
+        else:
+            for old, (tag, cell) in zip(tags, items):
+                if tag is old:  # a replayed tag is the candidate object itself
+                    continue
+                gone = term(old, cell)
+                new = term(tag, cell)
+                if gone is not None:
+                    totals = [s - v for s, v in zip(totals, gone)]
+                if new is not None:
+                    totals = [s + v for s, v in zip(totals, new)]
+        tags = [tag for tag, _ in items]
+        yield part, tuple(totals)
+
+
+def _candidates(iv: Iv, gauge: Gauge, mid: Fraction) -> tuple:
     """Suggested tags, then the endpoints and the midpoint, deduplicated."""
-    return tuple(dict.fromkeys(gauge.suggestions(iv) + (iv.lo, iv.hi, iv.midpoint)))
+    return tuple(dict.fromkeys(gauge.suggestions(iv) + (iv.lo, iv.hi, mid)))
 
 
 def _order(n: int, rng: Optional[random.Random]):
@@ -329,20 +378,23 @@ def _order(n: int, rng: Optional[random.Random]):
     return order
 
 
-def _pick(iv: Iv, cands: tuple, verdicts: list, order, gauge: Gauge):
+def _pick(iv: Iv, cands: tuple, verdicts: list, order, gauge: Gauge, radii=None):
     """The first acceptable candidate in ``order``, or None.
 
     ``verdicts`` caches per candidate whether its ball strictly contains
     ``iv`` (None: not yet evaluated). A radius is evaluated only when the
     walk reaches a candidate whose verdict is unknown, so the points
     evaluated, and the first one that raises, are those of an uncached walk
-    in the same order.
+    in the same order. Each radius evaluated is stored in ``radii`` if
+    given.
     """
     for j in order:
         ok = verdicts[j]
         if ok is None:
             x = cands[j]
             r = gauge.radius_at(x)
+            if radii is not None:
+                radii[j] = r
             ok = verdicts[j] = x - r < iv.lo and iv.hi < x + r
         if ok:
             return cands[j]
@@ -358,9 +410,15 @@ class PartitionTree:
     picks which acceptable tag each cell gets. The first
     :func:`cousin_partition` call given an empty tree walks the bisection
     and records every node in depth-first preorder, the order in which
-    every build visits them. Later calls replay the record with one shuffle
-    per node, evaluating a radius only where the candidate's verdict is
-    still unknown.
+    every build visits them. It evaluates each node's endpoints and
+    midpoint at most once: a bisected node passes the radii at its
+    endpoints and midpoint down to its two children, whose endpoints they
+    are, so a child's endpoint verdicts cost no radius call. Later calls
+    replay the record with one shuffle per node, evaluating a radius only
+    where the candidate's verdict is still unknown. Replays share the cell
+    objects and each cell's candidate objects, so two samples differ only
+    in which candidate some cells carry; sums over the samples exploit
+    this (see ``_sample_sums``).
 
     ``nodes`` holds, per node, either the candidate count of a bisected
     node (all of its candidates were rejected) or a tuple
@@ -392,16 +450,31 @@ class PartitionTree:
             )
 
     def _grow(self, rng: Optional[random.Random]) -> list:
-        """Walk the bisection depth first, record it, return its items."""
+        """Walk the bisection depth first, record it, return its items.
+
+        A node is bisected only once all of its candidates were rejected,
+        so the radii at its endpoints and midpoint are known by then; they
+        travel down the stack, and a child evaluates only its midpoint and
+        its suggested tags, lazily and in its candidate order.
+        """
         domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
         nodes = []
         items = []
-        stack = [(domain, 0)]
+        stack = [(domain, 0, None, None)]
         while stack:
-            iv, depth = stack.pop()
-            cands = _candidates(iv, gauge)
-            verdicts = [None] * len(cands)
-            tag = _pick(iv, cands, verdicts, _order(len(cands), rng), gauge)
+            iv, depth, r_lo, r_hi = stack.pop()
+            lo, hi = iv.lo, iv.hi
+            m = (lo + hi) / 2
+            cands = _candidates(iv, gauge, m)
+            n = len(cands)
+            verdicts = [None] * n
+            radii = [None] * n
+            if r_lo is not None:
+                for x, r in ((lo, r_lo), (hi, r_hi)):
+                    j = cands.index(x)
+                    radii[j] = r
+                    verdicts[j] = x - r < lo and hi < x + r
+            tag = _pick(iv, cands, verdicts, _order(n, rng), gauge, radii)
             if tag is not None:
                 items.append(Item(tag, iv))
                 nodes.append((iv, cands, verdicts))
@@ -412,10 +485,10 @@ class PartitionTree:
                     f"under gauge {gauge.name!r}",
                     interval=iv,
                 )
-            nodes.append(len(cands))
-            m = iv.midpoint
-            stack.append((Iv(m, iv.hi), depth + 1))
-            stack.append((Iv(iv.lo, m), depth + 1))
+            nodes.append(n)
+            r_lo, r_mid, r_hi = (radii[cands.index(x)] for x in (lo, m, hi))
+            stack.append((Iv(m, hi), depth + 1, r_mid, r_hi))
+            stack.append((Iv(lo, m), depth + 1, r_lo, r_mid))
         # recorded only once complete, so a failed build leaves the tree empty
         self.nodes = nodes
         return items
@@ -482,7 +555,9 @@ def sample_partitions(
     with ``Random(master.getrandbits(64))``, drawn when the sample is
     requested. All samples replay one :class:`PartitionTree` (``tree``, or
     a fresh one), so the gauge fixes the cells and the seed only picks the
-    tags.
+    tags: the samples share their cell objects, and a cell whose tag did
+    not change carries the same tag object. Sums over the samples are
+    therefore resummed only where a tag changed (``_sample_sums``).
     """
     if tree is None:
         tree = PartitionTree()
@@ -585,11 +660,9 @@ def hk_estimate(
         eps = Fraction(eps)
         gauge = family(eps)
         sums = []
-        for part in sample_partitions(domain, gauge, samples_per_eps, master, max_depth):
-            s = riemann_sum(f, part)
-            if reverse:
-                s = -s
-            sums.append(s)
+        parts = sample_partitions(domain, gauge, samples_per_eps, master, max_depth)
+        for _, s in _riemann_sums(f, parts):
+            sums.append(-s if reverse else s)
         values = [s.value for s in sums]
         rows.append(HkRow(eps, tuple(sums), max(values) - min(values)))
     converged = None

@@ -26,10 +26,10 @@ from .core import (
     PartitionTree,
     TaggedPartition,
     ValueWithError,
+    _riemann_sums,
     constant_gauge,
     hk_estimate,
     rat_str,
-    riemann_sum,
     sample_partitions,
 )
 from .errors import DomainError, UnsupportedInstanceError
@@ -242,8 +242,8 @@ def cov_check(
         sums = []
         worst = ZERO
         ok = True
-        for part in sample_partitions(interval, gauge, samples, master, max_depth, tree):
-            s = riemann_sum(fgh, part)
+        parts = sample_partitions(interval, gauge, samples, master, max_depth, tree)
+        for part, s in _riemann_sums(fgh, parts):
             sums.append(s)
             disc = abs(s.value - lhs.value)
             worst = max(worst, disc)

@@ -23,6 +23,7 @@ from .core import (
     PartitionTree,
     TaggedPartition,
     ValueWithError,
+    _sample_sums,
     constant_gauge,
     cousin_partition,
     merge_partitions,
@@ -44,24 +45,26 @@ ONE = Fraction(1)
 def variation_sums(f, p: TaggedPartition, E) -> Tuple[ValueWithError, ValueWithError]:
     """(Σ|Δf|, |ΣΔf|) over the items whose tags lie in E, a set in any form
     ``point_set`` accepts; exact when f is."""
-    S = point_set(E)
-    abs_total = ZERO
-    abs_err = ZERO
-    signed_total = ZERO
-    for tag, cell in p.items:
+    return next(_variation_sums(f, point_set(E), (p,)))[1]
+
+
+def _variation_sums(f, S, parts):
+    """Yield ``(partition, variation_sums(f, partition, S))`` for partitions
+    replayed from one tree, resumming only the cells whose tag changed."""
+
+    def term(tag, cell):
         if tag not in S:
-            continue
+            return None
         hi = f(cell.hi)
         lo = f(cell.lo)
         delta = hi.value - lo.value
-        err = hi.err + lo.err
-        abs_total += abs(delta)
-        abs_err += err
-        signed_total += delta
-    return (
-        ValueWithError(abs_total, abs_err),
-        ValueWithError(abs(signed_total), abs_err),
-    )
+        return (abs(delta), hi.err + lo.err, delta)
+
+    for part, (abs_total, abs_err, signed_total) in _sample_sums(parts, term, 3):
+        yield part, (
+            ValueWithError(abs_total, abs_err),
+            ValueWithError(abs(signed_total), abs_err),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +221,14 @@ def gauge_from_dini(f: FnSpec, Z, covers: dict, eps) -> Gauge:
 
 
 def _check_generated_cover(Z: sets.GeneratedSet, f: FnSpec, merged: dict) -> None:
-    """A generated null set must have a single band whose cover contains
-    some realization stage cellwise (then it contains the limit set)."""
+    """A generated null set must have a single band whose cover contains it.
+
+    The cover's merged open intervals contain Z iff they contain both hull
+    endpoints (members of every construction) and each closed gap between
+    two of them that lies inside the hull misses Z, that is, lies in the
+    complement component of one of its points. That point is taken dyadic,
+    where fat-Cantor queries always resolve. No realization stage is needed.
+    """
     bands = set(merged)
     if len(bands) != 1:
         raise UnsupportedInstanceError(
@@ -227,18 +236,29 @@ def _check_generated_cover(Z: sets.GeneratedSet, f: FnSpec, merged: dict) -> Non
         )
     (n,) = bands
     cover = merged[n]
-    for depth in range(0, sets.REALIZE_DEPTH_LIMIT + 1):
-        homes = [
-            (_interval_of_cover(cover, cell.lo), _interval_of_cover(cover, cell.hi))
-            for cell in sets.realize(Z, depth)
-        ]
-        if any(lo is None or hi is None for lo, hi in homes):
-            break  # stage endpoints are set points, in every later stage too
-        if all(lo == hi for lo, hi in homes):
-            return
-    raise UnsupportedInstanceError(
-        f"cover for band {n} never contains a realization stage of {Z.kind}"
-    )
+    hull = Z.base
+    for x in (hull.lo, hull.hi):
+        if _interval_of_cover(cover, x) is None:
+            raise UnsupportedInstanceError(f"band {n} cover does not contain {x}")
+    for left, right in zip(cover, cover[1:]):
+        gap = Iv(left.hi, right.lo)
+        if not hull.contains_iv(gap):
+            continue  # the covered hull endpoints keep it outside the hull
+        x = _dyadic_inside(gap)
+        if not sets.member(Z, x):
+            c = sets.complement_component(Z, x).interval
+            if c.lo < gap.lo and gap.hi < c.hi:
+                continue
+        raise UnsupportedInstanceError(
+            f"band {n} cover misses a point of {Z.kind} in {gap}"
+        )
+
+
+def _dyadic_inside(iv: Iv) -> Fraction:
+    """A dyadic rational in the interior of a nondegenerate interval."""
+    width = iv.length
+    k = (width.denominator // width.numerator + 1).bit_length()  # 2^-k < width
+    return Fraction((iv.lo.numerator << k) // iv.lo.denominator + 1, 1 << k)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +355,7 @@ def _variation_row(f, E, eps: Fraction, gauge: Gauge, samples: int, parts):
     nv_pass = True
     ncv_pass = True
     witness = None
-    for part in parts:
-        a, s = variation_sums(f, part, E)
+    for part, (a, s) in _variation_sums(f, point_set(E), parts):
         if a.value > max_abs.value:
             max_abs = a
         if s.value > max_signed.value:

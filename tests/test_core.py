@@ -18,7 +18,7 @@ from gaugekit import (
     riemann_sum,
     validate_partition,
 )
-from gaugekit.core import ValueWithError
+from gaugekit.core import PartitionTree, ValueWithError, sample_partitions
 from gaugekit.errors import (
     DepthExhaustedError,
     InvalidGaugeError,
@@ -366,3 +366,39 @@ class TestValueWithError:
         assert (a + b).value == F(-1, 6) and (a + b).err == F(3, 100)
         assert (-a).value == F(-1, 3) and (-a).err == a.err
         assert ValueWithError(F(-1, 4)).abs().value == F(1, 4)
+
+
+class TestWorkCounts:
+    """Machine-independent work counts of one build and of a sampled row."""
+
+    def test_one_radius_evaluation_per_point(self):
+        # the root evaluates its endpoints; every node then evaluates only
+        # its midpoint, since its endpoints' radii come down from its parent
+        calls = []
+        g = Gauge(radius=lambda x: calls.append(x) or F(1, 1000), name="const")
+        tree = PartitionTree()
+        cousin_partition(Iv(0, 1), g, tree=tree)
+        assert len(calls) == len(set(calls)) == 2 + len(tree.nodes)
+
+    def test_hk_estimate_resums_changed_cells_only(self):
+        # cells of length 1/64 under radius 1/70 accept their midpoint and
+        # their suggested third point, so the shuffles change some tags
+        g = Gauge(radius=lambda x: F(1, 70),
+                  suggest_tag=lambda iv: (iv.lo + iv.length / 3,), name="thirds")
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return ValueWithError(x * x)
+
+        hk_estimate(f, 0, 1, lambda e: g, [F(1, 10)], 5, seed=4)
+        parts = list(sample_partitions(Iv(0, 1), g, 5, random.Random(4)))
+        cells = len(parts[0])
+        assert cells == 64
+        changed = sum(
+            new.tag != old.tag
+            for prev, cur in zip(parts, parts[1:])
+            for old, new in zip(prev.items, cur.items)
+        )
+        assert 0 < changed < 4 * cells
+        assert len(calls) == cells + 2 * changed

@@ -374,6 +374,64 @@ class TestContainerIndependence:
         with pytest.raises(UnsupportedInstanceError):
             gauge_from_dini(IDENT, C, cover, F(1, 10))
 
+    def test_generated_cover_gap_decided_without_stages(self, shallow_realize):
+        # 1/4 = 0.0202..._3 lies in C but is no stage endpoint, and the gap
+        # [1/4 - 3^-30, 1/4] between the two intervals holds it
+        miss = {1: (Iv(-F(1, 10), F(1, 4) - F(1, 3**30)), Iv(F(1, 4), F(11, 10)))}
+        with pytest.raises(UnsupportedInstanceError, match="1/4"):
+            gauge_from_dini(IDENT, C, miss, 100)
+        # a gap inside the removed middle third misses C
+        hit = {1: (Iv(-F(1, 10), F(34, 100)), Iv(F(66, 100), F(11, 10)))}
+        gauge_from_dini(IDENT, C, hit, 100)
+
+
+def reference_stage_cover(Z, cover, depth_limit):
+    """The stage check this replaced: True once a stage lies cellwise in
+    the cover, False once a stage endpoint (a set point) is outside it,
+    None if neither happens by ``depth_limit``."""
+    for depth in range(depth_limit + 1):
+        homes = [
+            (variation._interval_of_cover(cover, c.lo),
+             variation._interval_of_cover(cover, c.hi))
+            for c in sets.realize(Z, depth)
+        ]
+        if any(lo is None or hi is None for lo, hi in homes):
+            return False
+        if all(lo == hi for lo, hi in homes):
+            return True
+    return None
+
+
+@st.composite
+def stage_covers(draw):
+    """A generated set and open intervals around its stage cells, padded
+    alike; now and then a cell is dropped, left unpadded, or trimmed, so
+    that gaps fall inside complement components or across set points."""
+    Z = draw(st.sampled_from(GENERATED))
+    pad = draw(st.sampled_from((F(1, 3**6), F(1, 4**5), F(1, 100))))
+    odd = st.sampled_from((None, F(0), -F(1, 3**7), F(1, 3**3)))
+    cover = []
+    for c in sets.realize(Z, draw(st.integers(0, 4))):
+        lo_pad = hi_pad = pad
+        if draw(st.integers(0, 7)) == 0:
+            lo_pad, hi_pad = draw(odd), draw(odd)
+            if lo_pad is None or hi_pad is None:
+                continue  # the cell is dropped
+        if c.lo - lo_pad < c.hi + hi_pad:
+            cover.append(Iv(c.lo - lo_pad, c.hi + hi_pad))
+    return Z, variation._merged_open_cover(cover)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage_covers())
+def test_generated_cover_matches_stage_check(case):
+    Z, cover = case
+    want = reference_stage_cover(Z, cover, 8)
+    if want is None:
+        return  # the stage check is still undecided at depth 8
+    got = outcome(variation._check_generated_cover, Z, IDENT, {1: cover})
+    assert (got == ("ok", None)) == want, (Z.kind, cover, got)
+
 
 @pytest.fixture
 def shallow_realize(monkeypatch):
