@@ -335,11 +335,17 @@ def _sample_sums(parts, term, width: int):
     and adds the new one's. The arithmetic is exact, so the totals equal
     full sums. A pure ``term`` raises the error a full sum would raise, at
     the same tag: every unchanged tag's term was computed before without
-    error. Only the previous partition's tags are kept.
+    error. Only the previous partition's tags are kept, and a partition
+    whose items are the previous one's (a closed tree) is not walked.
     """
     tags = None
+    prev = None
     for part in parts:
         items = part.items
+        if items is prev:  # a closed tree's replay: the same partition
+            yield part, tuple(totals)
+            continue
+        prev = items
         if tags is None:
             totals = [ZERO] * width
             for tag, cell in items:
@@ -360,11 +366,6 @@ def _sample_sums(parts, term, width: int):
         yield part, tuple(totals)
 
 
-def _candidates(iv: Iv, gauge: Gauge, mid: Fraction) -> tuple:
-    """Suggested tags, then the endpoints and the midpoint, deduplicated."""
-    return tuple(dict.fromkeys(gauge.suggestions(iv) + (iv.lo, iv.hi, mid)))
-
-
 def _order(n: int, rng: Optional[random.Random]):
     """The order in which a node's ``n`` candidates are tried.
 
@@ -378,27 +379,30 @@ def _order(n: int, rng: Optional[random.Random]):
     return order
 
 
-def _pick(iv: Iv, cands: tuple, verdicts: list, order, gauge: Gauge, radii=None):
+def _pick(iv: Iv, cands: tuple, verdicts: list, order, gauge: Gauge):
     """The first acceptable candidate in ``order``, or None.
 
     ``verdicts`` caches per candidate whether its ball strictly contains
     ``iv`` (None: not yet evaluated). A radius is evaluated only when the
     walk reaches a candidate whose verdict is unknown, so the points
     evaluated, and the first one that raises, are those of an uncached walk
-    in the same order. Each radius evaluated is stored in ``radii`` if
-    given.
+    in the same order.
     """
     for j in order:
         ok = verdicts[j]
         if ok is None:
             x = cands[j]
             r = gauge.radius_at(x)
-            if radii is not None:
-                radii[j] = r
             ok = verdicts[j] = x - r < iv.lo and iv.hi < x + r
         if ok:
             return cands[j]
     return None
+
+
+# Depth offsets of the default candidates (lo, hi, midpoint): the ball
+# around an endpoint of a depth-d cell contains the cell iff d >= reach, the
+# ball around its midpoint iff d + 1 >= reach (see PartitionTree._grow).
+_DEFAULT_OFFSETS = (0, 0, 1)
 
 
 class PartitionTree:
@@ -411,22 +415,29 @@ class PartitionTree:
     :func:`cousin_partition` call given an empty tree walks the bisection
     and records every node in depth-first preorder, the order in which
     every build visits them. It evaluates each node's endpoints and
-    midpoint at most once: a bisected node passes the radii at its
-    endpoints and midpoint down to its two children, whose endpoints they
-    are, so a child's endpoint verdicts cost no radius call. Later calls
-    replay the record with one shuffle per node, evaluating a radius only
-    where the candidate's verdict is still unknown. Replays share the cell
-    objects and each cell's candidate objects, so two samples differ only
-    in which candidate some cells carry; sums over the samples exploit
-    this (see ``_sample_sums``).
+    midpoint at most once, and decides their verdicts by integer depth
+    thresholds: a bisected node passes the thresholds of its endpoints and
+    midpoint down to its two children, whose endpoints they are, so a
+    child's endpoint verdicts cost no radius call. Later calls replay the
+    record with one shuffle per node, evaluating a radius only where the
+    candidate's verdict is still unknown. Replays share the cell objects and
+    each cell's candidate objects, so two samples differ only in which
+    candidate some cells carry; sums over the samples exploit this (see
+    ``_sample_sums``).
+
+    A tree is *closed* when every cell of its first build has all of its
+    verdicts known and exactly one candidate accepted: then every candidate
+    order gives the same partition, and replays return the first build's
+    items (the same tuple) without visiting a node or drawing anything from
+    the ``rng`` they are given.
 
     ``nodes`` holds, per node, either the candidate count of a bisected
     node (all of its candidates were rejected) or a tuple
     ``(cell, candidates, verdicts)`` for a cell, where ``verdicts[j]`` is
-    True (accepted), False (rejected) or None (not yet evaluated). A tree
-    is bound to the domain, the gauge object and the resolved depth cap of
-    its first build; the radius and tag oracle must be pure functions of
-    their argument.
+    True (accepted), False (rejected) or None (not yet evaluated). ``items``
+    is the closed tree's partition, or None. A tree is bound to the domain,
+    the gauge object and the resolved depth cap of its first build; the
+    radius and tag oracle must be pure functions of their argument.
     """
 
     def __init__(self):
@@ -434,6 +445,7 @@ class PartitionTree:
         self.gauge: Optional[Gauge] = None
         self.max_depth: Optional[int] = None
         self.nodes: list = []
+        self.items: Optional[tuple] = None
 
     def _bind(self, domain: Iv, gauge: Gauge, max_depth: int) -> None:
         if self.gauge is None:
@@ -449,51 +461,96 @@ class PartitionTree:
                 f"{gauge.name!r} (depth cap {max_depth})"
             )
 
-    def _grow(self, rng: Optional[random.Random]) -> list:
+    def _grow(self, rng: Optional[random.Random]) -> tuple:
         """Walk the bisection depth first, record it, return its items.
 
-        A node is bisected only once all of its candidates were rejected,
-        so the radii at its endpoints and midpoint are known by then; they
-        travel down the stack, and a child evaluates only its midpoint and
-        its suggested tags, lazily and in its candidate order.
+        A depth-d cell has width W/2^d, W the domain's width, so the ball of
+        radius r around an endpoint contains it iff r > W/2^d, and the ball
+        around its midpoint iff r > W/2^(d+1). A radius at an endpoint or a
+        midpoint therefore reduces to one integer, its reach
+        ``floor(W/r).bit_length()``: the least d with W/2^d < r (0 when
+        W = 0). An endpoint is acceptable iff depth >= reach, a midpoint
+        iff depth + 1 >= reach. A node is bisected only once all of its
+        candidates were rejected, so the reaches at its endpoints and
+        midpoint are known by then; they travel down the stack, and a child
+        evaluates only its midpoint and its suggested tags, lazily and in
+        its candidate order. A suggested tag that is not an endpoint or the
+        midpoint keeps the exact ball test.
         """
         domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
+        radius_at = gauge.radius_at
+        oracle = gauge.suggest_tag is not None
+        width = domain.hi - domain.lo
+        wn, wd = width.numerator, width.denominator
+        half = [width / 2]  # half[d]: half the width of a depth-d cell
         nodes = []
         items = []
+        closed = True
         stack = [(domain, 0, None, None)]
         while stack:
-            iv, depth, r_lo, r_hi = stack.pop()
+            iv, depth, k_lo, k_hi = stack.pop()
             lo, hi = iv.lo, iv.hi
-            m = (lo + hi) / 2
-            cands = _candidates(iv, gauge, m)
-            n = len(cands)
+            if depth == len(half):
+                half.append(half[-1] / 2)
+            m = lo + half[depth]
+            sugg = gauge.suggestions(iv) if oracle else ()
+            if sugg or not wn:
+                # suggestions first; a suggested endpoint or midpoint keeps
+                # its depth offset, and a degenerate cell has one candidate
+                cands = tuple(dict.fromkeys(sugg + (lo, hi, m)))
+                n = len(cands)
+                i_lo, i_hi, i_mid = cands.index(lo), cands.index(hi), cands.index(m)
+                offsets = [None] * n
+                offsets[i_lo] = offsets[i_hi] = 0
+                offsets[i_mid] = 1
+            else:
+                cands = (lo, hi, m)
+                n = 3
+                i_lo, i_hi, i_mid = 0, 1, 2
+                offsets = _DEFAULT_OFFSETS
             verdicts = [None] * n
-            radii = [None] * n
-            if r_lo is not None:
-                for x, r in ((lo, r_lo), (hi, r_hi)):
-                    j = cands.index(x)
-                    radii[j] = r
-                    verdicts[j] = x - r < lo and hi < x + r
-            tag = _pick(iv, cands, verdicts, _order(n, rng), gauge, radii)
-            if tag is not None:
-                items.append(Item(tag, iv))
-                nodes.append((iv, cands, verdicts))
-                continue
-            if depth >= max_depth:
-                raise DepthExhaustedError(
-                    f"no acceptable tag for {iv} after {depth} bisections "
-                    f"under gauge {gauge.name!r}",
-                    interval=iv,
-                )
-            nodes.append(n)
-            r_lo, r_mid, r_hi = (radii[cands.index(x)] for x in (lo, m, hi))
-            stack.append((Iv(m, hi), depth + 1, r_mid, r_hi))
-            stack.append((Iv(lo, m), depth + 1, r_lo, r_mid))
+            reach = [None] * n
+            if k_lo is not None:
+                reach[i_lo], reach[i_hi] = k_lo, k_hi
+                verdicts[i_lo], verdicts[i_hi] = depth >= k_lo, depth >= k_hi
+            for j in _order(n, rng):
+                ok = verdicts[j]
+                if ok is None:
+                    x = cands[j]
+                    r = radius_at(x)
+                    off = offsets[j]
+                    if off is None:
+                        ok = x - r < lo and hi < x + r
+                    else:
+                        k = reach[j] = (wn * r.denominator // (wd * r.numerator)).bit_length()
+                        ok = depth + off >= k
+                    verdicts[j] = ok
+                if ok:
+                    items.append(Item(cands[j], iv))
+                    nodes.append((iv, cands, verdicts))
+                    if closed and (None in verdicts or verdicts.count(True) != 1):
+                        closed = False
+                    break
+            else:
+                if depth >= max_depth:
+                    raise DepthExhaustedError(
+                        f"no acceptable tag for {iv} after {depth} bisections "
+                        f"under gauge {gauge.name!r}",
+                        interval=iv,
+                    )
+                nodes.append(n)
+                k_mid = reach[i_mid]
+                stack.append((Iv(m, hi), depth + 1, k_mid, reach[i_hi]))
+                stack.append((Iv(lo, m), depth + 1, reach[i_lo], k_mid))
         # recorded only once complete, so a failed build leaves the tree empty
+        items = tuple(items)
         self.nodes = nodes
+        self.items = items if closed else None
         return items
 
-    def _replay(self, rng: Optional[random.Random]) -> list:
+    def _replay(self, rng: Optional[random.Random]):
+        if self.items is not None:
+            return self.items
         gauge = self.gauge
         items = []
         for node in self.nodes:
@@ -525,8 +582,10 @@ def cousin_partition(
     the bisection in it and later calls replay it: the same partition as a
     fresh build with the same ``rng``, with the same radius error at the
     same node, but each candidate of a node is evaluated at most once and
-    the tag oracle is consulted once per node. Raises ValueError if
-    ``tree`` was recorded for another domain, gauge object or depth cap.
+    the tag oracle is consulted once per node. A closed tree (every cell
+    has exactly one acceptable candidate) returns its recorded partition and
+    draws nothing from ``rng``. Raises ValueError if ``tree`` was recorded
+    for another domain, gauge object or depth cap.
 
     Raises DepthExhaustedError carrying the smallest unaccepted interval if
     the cap is hit.
@@ -557,7 +616,9 @@ def sample_partitions(
     a fresh one), so the gauge fixes the cells and the seed only picks the
     tags: the samples share their cell objects, and a cell whose tag did
     not change carries the same tag object. Sums over the samples are
-    therefore resummed only where a tag changed (``_sample_sums``).
+    therefore resummed only where a tag changed (``_sample_sums``). When the
+    tree is closed, every sample is the first one's partition, and the
+    per-sample generators draw nothing; ``master`` advances as always.
     """
     if tree is None:
         tree = PartitionTree()

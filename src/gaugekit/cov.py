@@ -103,12 +103,13 @@ def proof_gauge(inst: CovInstance, eps) -> Gauge:
             "cannot build its gauge"
         )
     on_b = inst.ncv_gauge(eps)
+    half = eps / 2
 
     def radius(x):
         x = Fraction(x)
         if x in inst.B:
             return on_b.radius_at(x)
-        return min(inst.fog.modulus(x, eps / 2), ONE)
+        return min(inst.fog.modulus(x, half), ONE)
 
     def suggest(iv):
         return inst.B.suggestion_points(iv) + on_b.suggestions(iv)

@@ -201,7 +201,8 @@ class FnSpec:
     exact: bool = True
 
     def __call__(self, x) -> ValueWithError:
-        x = Fraction(x)
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
         if x not in self.domain:
             raise DomainError(
                 f"{self.name} evaluated at {x} outside {self.domain}", witness=x
@@ -210,7 +211,8 @@ class FnSpec:
 
     def deriv_at(self, x) -> ValueWithError:
         """Derivative off the failure set; 0 flagged convention on it."""
-        x = Fraction(x)
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
         if x in self.failure_set:
             return ValueWithError(ZERO, ZERO, convention=True)
         if self.deriv is None:

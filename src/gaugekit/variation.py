@@ -138,10 +138,13 @@ def gauge_from_zero_derivative(f: FnSpec, D, eps) -> Gauge:
 
 
 def _merged_open_cover(cover: Sequence[Iv]) -> Tuple[Iv, ...]:
+    """The union of open intervals as sorted open intervals. Only
+    overlapping intervals merge: two that touch leave their common endpoint
+    uncovered."""
     ivs = sorted(cover, key=lambda c: (c.lo, c.hi))
     out = []
     for c in ivs:
-        if out and c.lo <= out[-1].hi:
+        if out and c.lo < out[-1].hi:
             out[-1] = Iv(out[-1].lo, max(out[-1].hi, c.hi))
         else:
             out.append(c)
@@ -227,7 +230,9 @@ def _check_generated_cover(Z: sets.GeneratedSet, f: FnSpec, merged: dict) -> Non
     endpoints (members of every construction) and each closed gap between
     two of them that lies inside the hull misses Z, that is, lies in the
     complement component of one of its points. That point is taken dyadic,
-    where fat-Cantor queries always resolve. No realization stage is needed.
+    where fat-Cantor queries always resolve. A gap between two intervals
+    that touch is their common endpoint alone, which misses Z iff it is not
+    a member. No realization stage is needed.
     """
     bands = set(merged)
     if len(bands) != 1:
@@ -244,11 +249,15 @@ def _check_generated_cover(Z: sets.GeneratedSet, f: FnSpec, merged: dict) -> Non
         gap = Iv(left.hi, right.lo)
         if not hull.contains_iv(gap):
             continue  # the covered hull endpoints keep it outside the hull
-        x = _dyadic_inside(gap)
-        if not sets.member(Z, x):
-            c = sets.complement_component(Z, x).interval
-            if c.lo < gap.lo and gap.hi < c.hi:
+        if gap.lo == gap.hi:
+            if not sets.member(Z, gap.lo):
                 continue
+        else:
+            x = _dyadic_inside(gap)
+            if not sets.member(Z, x):
+                c = sets.complement_component(Z, x).interval
+                if c.lo < gap.lo and gap.hi < c.hi:
+                    continue
         raise UnsupportedInstanceError(
             f"band {n} cover misses a point of {Z.kind} in {gap}"
         )

@@ -380,6 +380,53 @@ class TestWorkCounts:
         cousin_partition(Iv(0, 1), g, tree=tree)
         assert len(calls) == len(set(calls)) == 2 + len(tree.nodes)
 
+    def test_endpoint_and_midpoint_verdicts_use_no_fraction_arithmetic(self, monkeypatch):
+        # the depth thresholds decide every verdict with integers: the only
+        # Fraction subtraction is the domain's width, and no candidate is
+        # hashed or compared as a Fraction
+        g = constant_gauge(F(1, 1000))
+        radius = g.radius_at
+        calls = []
+        g = Gauge(radius=lambda x: calls.append(x) or radius(x), name="const")
+        counts = {"__hash__": 0, "__lt__": 0, "__sub__": 0, "__rsub__": 0}
+        for name in counts:
+            monkeypatch.setattr(F, name, _counted(getattr(F, name), counts, name))
+        part = cousin_partition(Iv(0, 1), g)
+        monkeypatch.undo()
+        assert counts["__hash__"] == counts["__lt__"] == 0
+        assert counts["__sub__"] + counts["__rsub__"] <= 1
+        assert len(calls) == 1025 and len(part) == 512
+
+    def test_closed_tree_replays_draw_nothing(self, monkeypatch):
+        # every cell of the build accepts exactly its midpoint, so each
+        # replay is the first build's partition, reached without a shuffle
+        g = constant_gauge(F(1, 1000))
+        tree = PartitionTree()
+        counts = {"shuffle": 0}
+        monkeypatch.setattr(random.Random, "shuffle",
+                            _counted(random.Random.shuffle, counts, "shuffle"))
+        parts = list(sample_partitions(Iv(0, 1), g, 5, random.Random(1), tree=tree))
+        assert counts["shuffle"] == 0
+        assert all(p.items is parts[0].items for p in parts)
+        assert tree.items is parts[0].items
+
+    def test_open_tree_replays_shuffle(self, monkeypatch):
+        # [0, 1] under radius 2 accepts all three of its candidates, and the
+        # build stops at the first: the tree is not closed, and the replays
+        # still shuffle and pick different tags under different seeds
+        g = constant_gauge(2)
+        counts = {"shuffle": 0}
+        monkeypatch.setattr(random.Random, "shuffle",
+                            _counted(random.Random.shuffle, counts, "shuffle"))
+        tags = set()
+        for seed in range(4):
+            tree = PartitionTree()
+            parts = list(sample_partitions(Iv(0, 1), g, 5, random.Random(seed), tree=tree))
+            assert tree.items is None
+            tags |= {p.items[0].tag for p in parts}
+        assert counts["shuffle"] == 4 * 4
+        assert tags == {F(0), F(1), F(1, 2)}
+
     def test_hk_estimate_resums_changed_cells_only(self):
         # cells of length 1/64 under radius 1/70 accept their midpoint and
         # their suggested third point, so the shuffles change some tags
@@ -402,3 +449,11 @@ class TestWorkCounts:
         )
         assert 0 < changed < 4 * cells
         assert len(calls) == cells + 2 * changed
+
+
+def _counted(method, counts, name):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return method(*args, **kwargs)
+
+    return counted

@@ -102,7 +102,7 @@ def reference_gauge_from_zero_derivative(f, D, eps):
 def _reference_merged(cover):
     out = []
     for c in sorted(cover, key=lambda c: (c.lo, c.hi)):
-        if out and c.lo <= out[-1].hi:
+        if out and c.lo < out[-1].hi:
             out[-1] = Iv(out[-1].lo, max(out[-1].hi, c.hi))
         else:
             out.append(c)
@@ -383,6 +383,22 @@ class TestContainerIndependence:
         # a gap inside the removed middle third misses C
         hit = {1: (Iv(-F(1, 10), F(34, 100)), Iv(F(66, 100), F(11, 10)))}
         gauge_from_dini(IDENT, C, hit, 100)
+
+    def test_touching_cover_intervals_leave_their_endpoint_uncovered(self, shallow_realize):
+        # open intervals that only touch do not cover their common endpoint,
+        # so no radius may be taken there and no set point may sit there
+        touching = {1: (Iv(F(1, 4), F(1, 2)), Iv(F(1, 2), F(3, 4)))}
+        with pytest.raises(UnsupportedInstanceError, match="1/2"):
+            gauge_from_dini(SQ, (F(1, 2),), touching, 10)
+        g = gauge_from_dini(SQ, (F(5, 8),), touching, 10)
+        assert g.radius_at(F(5, 8)) == F(1, 8)
+        # 1/3 is a point of C, 1/2 is not: the zero-width gap at the
+        # touching point holds a point of C only in the first cover
+        at_third = {1: (Iv(-F(1, 10), F(1, 3)), Iv(F(1, 3), F(11, 10)))}
+        with pytest.raises(UnsupportedInstanceError, match="1/3"):
+            gauge_from_dini(IDENT, C, at_third, 100)
+        at_half = {1: (Iv(-F(1, 10), F(1, 2)), Iv(F(1, 2), F(11, 10)))}
+        gauge_from_dini(IDENT, C, at_half, 100)
 
 
 def reference_stage_cover(Z, cover, depth_limit):

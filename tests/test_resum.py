@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugekit import cli, core, cov, variation
-from gaugekit.core import Item, Iv, PartitionTree, ValueWithError, sample_partitions
+from gaugekit.core import Gauge, Item, Iv, PartitionTree, ValueWithError, sample_partitions
 from gaugekit.errors import DepthExhaustedError, DomainError, GaugeKitError, UndecidedError
 from gaugekit.funcs import point_set
 from test_replay import (
@@ -245,6 +245,199 @@ def test_grow_matches_reference_grow(case):
         # every candidate is an endpoint or a midpoint: each is evaluated
         # at most once over all the samples
         assert max(evaluated.values(), default=1) == 1
+
+
+# ---------------------------------------------------------------------------
+# the builder: integer depth thresholds against Fraction radii passed down
+# ---------------------------------------------------------------------------
+
+
+def _radius_passing_pick(iv, cands, verdicts, order, gauge, radii):
+    for j in order:
+        ok = verdicts[j]
+        if ok is None:
+            x = cands[j]
+            r = gauge.radius_at(x)
+            radii[j] = r
+            ok = verdicts[j] = x - r < iv.lo and iv.hi < x + r
+        if ok:
+            return cands[j]
+    return None
+
+
+class RadiusPassingTree(PartitionTree):
+    """A partition tree grown by the builder that passes the Fraction radii
+    at a node's endpoints and midpoint down to its children and decides
+    every verdict by the exact ball test. It never closes, so its replays
+    walk the recorded nodes."""
+
+    def _grow(self, rng):
+        domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
+        nodes = []
+        items = []
+        stack = [(domain, 0, None, None)]
+        while stack:
+            iv, depth, r_lo, r_hi = stack.pop()
+            lo, hi = iv.lo, iv.hi
+            m = (lo + hi) / 2
+            cands = tuple(dict.fromkeys(gauge.suggestions(iv) + (lo, hi, m)))
+            n = len(cands)
+            verdicts = [None] * n
+            radii = [None] * n
+            if r_lo is not None:
+                for x, r in ((lo, r_lo), (hi, r_hi)):
+                    j = cands.index(x)
+                    radii[j] = r
+                    verdicts[j] = x - r < lo and hi < x + r
+            order = core._order(n, rng)
+            tag = _radius_passing_pick(iv, cands, verdicts, order, gauge, radii)
+            if tag is not None:
+                items.append(Item(tag, iv))
+                nodes.append((iv, cands, verdicts))
+                continue
+            if depth >= max_depth:
+                raise DepthExhaustedError(
+                    f"no acceptable tag for {iv} after {depth} bisections "
+                    f"under gauge {gauge.name!r}",
+                    interval=iv,
+                )
+            nodes.append(n)
+            r_lo, r_mid, r_hi = (radii[cands.index(x)] for x in (lo, m, hi))
+            stack.append((Iv(m, hi), depth + 1, r_mid, r_hi))
+            stack.append((Iv(lo, m), depth + 1, r_lo, r_mid))
+        self.nodes = nodes
+        return items
+
+
+def _threshold_gauge(domain, breaks, radii, poison, kinds, scope, log):
+    """Piecewise-constant radius raising at the poison points, with an
+    oracle that suggests the chosen kinds of points (``scope`` "left": only
+    in cells left of the domain's midpoint, so one tree mixes cells with
+    and without suggestions)."""
+
+    def radius(x):
+        log.append(x)
+        if x in poison:
+            if poison[x] == "undecided":
+                raise UndecidedError(f"undecided at {x}", bounds=(x, x))
+            raise ValueError(f"poisoned at {x}")
+        return radii[sum(1 for b in breaks if x >= b)]
+
+    def suggest(iv):
+        if scope == "left" and iv.hi > domain.midpoint:
+            return ()
+        out = []
+        if "lo" in kinds:
+            out.append(iv.lo)
+        if "hi" in kinds:
+            out.append(iv.hi)
+        if "mid" in kinds:
+            out.append(iv.midpoint)
+        if "third" in kinds:
+            out.append(iv.lo + iv.length / 3)
+        if "outside" in kinds:
+            out += [iv.lo - 1, iv.hi + 1]
+        return out
+
+    oracle = None if scope == "none" else suggest
+    return Gauge(radius=radius, suggest_tag=oracle, name="thresholds")
+
+
+@st.composite
+def threshold_cases(draw):
+    """Domains of dyadic, non-dyadic and zero width, with radii drawn mostly
+    at or next to W/2^d, where the endpoint and midpoint tests turn."""
+    a = draw(st.builds(F, st.integers(-16, 16), st.integers(1, 8)))
+    # numerator 0: a degenerate domain
+    width = draw(st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 5, 6, 7))))
+    domain = Iv(a, a + width)
+    other = st.builds(F, st.integers(1, 24), st.integers(8, 64))
+    if width:
+        depth = st.integers(1, 9)
+        exact = st.builds(lambda d: width / 2**d, depth)
+        near = st.builds(lambda d, s: width / 2**d + s * width / 2**(d + 12),
+                         depth, st.sampled_from((-1, 1)))
+        scaled = st.builds(lambda r: width * r, other)
+        radius = st.one_of(exact, exact, near, scaled)
+    else:
+        radius = other
+    grid = [domain.lo + width * F(k, 2**j) for j in range(5) for k in range(2**j + 1)]
+    breaks = tuple(sorted(draw(st.lists(st.sampled_from(grid), max_size=3))))
+    radii = tuple(draw(radius) for _ in range(len(breaks) + 1))
+    # poison points off the root's candidates, so that most builds get
+    # past the root and some raise only in replays
+    inner = [x for x in grid if x not in (domain.lo, domain.hi, domain.midpoint)] or grid
+    poison = {
+        x: draw(st.sampled_from(("foreign", "undecided")))
+        for x in draw(st.lists(st.sampled_from(inner), max_size=2))
+    }
+    kinds = frozenset(draw(st.sets(st.sampled_from(("lo", "hi", "mid", "third", "outside")))))
+    scope = draw(st.sampled_from(("none", "all", "left")))
+    max_depth = draw(st.integers(1, 8))
+    first_seed = draw(st.one_of(st.none(), st.integers(0, 2**32)))
+    replay_seeds = draw(st.lists(st.integers(0, 2**32), max_size=4))
+    return (domain, breaks, radii, poison, kinds, scope, max_depth, first_seed,
+            replay_seeds)
+
+
+def _builds(tree_class, case):
+    """The first build and its replays: per build the items, or the error's
+    class, message (naming its point) and interval, and the points
+    evaluated in order; the recorded nodes after the first build; the tree."""
+    domain, breaks, radii, poison, kinds, scope, max_depth, first_seed, seeds = case
+    log = []
+    gauge = _threshold_gauge(domain, breaks, radii, poison, kinds, scope, log)
+    tree = tree_class()
+    rngs = [None if first_seed is None else random.Random(first_seed)]
+    rngs += [random.Random(seed) for seed in seeds]
+    out, nodes = [], None
+    for rng in rngs:
+        del log[:]
+        try:
+            part = core.cousin_partition(domain, gauge, max_depth, rng=rng, tree=tree)
+        except GaugeKitError as exc:
+            out.append(((type(exc), str(exc), getattr(exc, "interval", None)), list(log)))
+            break
+        out.append((part.items, list(log)))
+        if nodes is None:  # replays fill in verdicts; keep the first build's
+            nodes = [n if n.__class__ is int else (n[0], n[1], list(n[2]))
+                     for n in tree.nodes]
+    return out, nodes, tree
+
+
+def _is_closed(nodes):
+    verdicts = [node[2] for node in nodes if node.__class__ is not int]
+    return all(None not in v and v.count(True) == 1 for v in verdicts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(threshold_cases())
+def test_thresholds_match_radius_passing_grow(case):
+    new, new_nodes, tree = _builds(PartitionTree, case)
+    ref, ref_nodes, _ = _builds(RadiusPassingTree, case)
+    # items or the first error, and every point evaluated, in order, in the
+    # first build and in each replay
+    assert new == ref
+    # cells, candidates and verdicts of the first build
+    assert new_nodes == ref_nodes
+    closed = ref_nodes is not None and _is_closed(ref_nodes)
+    assert (tree.items is not None) == closed
+    if closed:
+        assert all(log == [] for _, log in new[1:])
+
+
+def test_thresholds_at_the_boundary():
+    # under radius exactly 1/1024 on [0, 1] an endpoint of a 1/1024 cell is
+    # rejected (its ball is open) and the midpoint accepted; the midpoint of
+    # a 1/512 cell is rejected for the same reason
+    g = core.constant_gauge(F(1, 1024))
+    tree = PartitionTree()
+    part = core.cousin_partition(Iv(0, 1), g, tree=tree)
+    assert len(part) == 1024
+    assert all(tag == cell.midpoint for tag, cell in part.items)
+    assert tree.items is part.items
+    ref = core.cousin_partition(Iv(0, 1), g, tree=RadiusPassingTree())
+    assert ref.items == part.items
 
 
 # ---------------------------------------------------------------------------
