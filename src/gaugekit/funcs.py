@@ -252,36 +252,24 @@ def deriv_spec(f: FnSpec, name: Optional[str] = None) -> FnSpec:
 def cantor_fn(x) -> Fraction:
     """The Cantor-Lebesgue function, exactly, for any rational in [0, 1].
 
-    Reads ternary digits until the first 1 (which contributes the final
-    binary digit) or until the remainder repeats; a repeating block of 0/2
-    digits sums as a geometric series. Runs at most den(x) + 1 steps.
+    Reads ternary digits on integer remainders (``sets._ternary_walk``)
+    until the first 1 (which contributes the final binary digit) or until
+    the remainder repeats; a repeating block of 0/2 digits sums as a
+    geometric series. Runs at most den(x) + 1 steps and builds one
+    Fraction, the result.
     """
     x = Fraction(x)
     if not ZERO <= x <= ONE:
         raise DomainError(f"cantor_fn needs x in [0,1], got {x}", witness=x)
     if x == 1:
         return ONE
-    seen = {}
-    bits = 0  # binary digits accumulated so far, as an integer
-    n = 0
-    r = x
-    while True:
-        if r == 0:
-            return Fraction(bits, 2**n) if n else ZERO
-        if r in seen:
-            k = seen[r]
-            cyc_len = n - k
-            cyc = bits & ((1 << cyc_len) - 1)
-            head = bits >> cyc_len
-            return Fraction(head, 2**k) + Fraction(cyc, (2**cyc_len - 1) * 2**k)
-        seen[r] = n
-        t = 3 * r
-        d = int(t)
-        r = t - d
-        n += 1
-        if d == 1:
-            return Fraction(bits, 2 ** (n - 1)) + Fraction(1, 2**n)
-        bits = (bits << 1) | (d // 2)
+    n, _, bits, start, _ = sets._ternary_walk(x.numerator, x.denominator)
+    if start is None:
+        return Fraction(2 * bits + 1, 1 << n)
+    # bits = head·2^L + cyc with an L-bit cycle after `start` digits; the
+    # value head/2^start + cyc/((2^L − 1)·2^start) has numerator bits − head
+    period = n - start
+    return Fraction(bits - (bits >> period), ((1 << period) - 1) << start)
 
 
 def cantor_abs(x) -> Fraction:

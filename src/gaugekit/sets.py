@@ -147,43 +147,100 @@ def measure_at(s: GeneratedSet, depth: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _ternary_walk(p: int, q: int):
+    """Read the ternary digits of p/q, 0 <= p < q, on integer remainders.
+
+    Each step is ``d, r = divmod(3*r, q)``. The walk stops at the first
+    digit 1 or when a remainder repeats, which happens within q steps (a
+    terminating expansion repeats the remainder 0). Returns
+    ``(n, prefix, bits, start, rem)``: n digits were read, and the 0/2
+    digits before the stop are ``prefix`` as a ternary integer and ``bits``
+    as binary digits (2 read as 1). At a digit 1, the n-th digit, ``start``
+    is None and ``rem`` is the remainder after it; on a repeat, digits
+    start + 1 to n repeat forever and ``rem`` is None.
+    """
+    seen = {}
+    r = p
+    n = prefix = bits = 0
+    while r not in seen:
+        seen[r] = n
+        d, r = divmod(3 * r, q)
+        n += 1
+        if d == 1:
+            return (n, prefix, bits, None, r)
+        prefix = 3 * prefix + d
+        bits = (bits << 1) | (d >> 1)
+    return (n, prefix, bits, seen[r], None)
+
+
 def _cantor_locate(x: Fraction):
-    """Classify x in [0,1] against the Cantor set.
+    """Classify x in [−1, 1] against C ∪ (−C); for x in [0, 1] that is C.
 
     Returns ('member', None) or ('gap', (l, r, depth)) where (l, r) is the
-    maximal removed middle third containing x. Terminates for every rational
-    because remainders repeat within den(x) steps.
+    maximal removed middle third containing x (reflected for x < 0). The
+    walk runs on |x|'s integer remainders; Fractions are built only for a
+    gap's endpoints.
     """
-    if x == 0 or x == 1:
+    p, q = x.numerator, x.denominator
+    a = abs(p)
+    if a == q:
         return ("member", None)
-    seen = set()
-    r = x
-    prefix_thirds = Fraction(0)  # value of digits consumed so far
-    place = Fraction(1)          # 3^(−digits consumed)
-    depth = 0
-    while True:
-        if r == 0:
-            return ("member", None)  # terminating expansion without a 1
-        if r in seen:
-            return ("member", None)  # periodic tail of 0s and 2s
-        seen.add(r)
-        t = 3 * r
-        d = int(t)  # floor for t >= 0
-        r = t - d
-        depth += 1
-        place /= 3
-        if d == 1:
-            if r == 0:
-                # x = prefix + 3^(−depth) exactly; rewrite as 0(222...)
-                return ("member", None)
-            l = prefix_thirds + place
-            return ("gap", (l, l + place, depth))
-        prefix_thirds += d * place
+    n, prefix, _, start, rem = _ternary_walk(a, q)
+    if start is not None or rem == 0:
+        # a repeat of 0/2 digits, or x = prefix + 3^(−n) = prefix 0(222...)
+        return ("member", None)
+    scale = 3**n
+    lo, hi = 3 * prefix + 1, 3 * prefix + 2
+    if p < 0:
+        lo, hi = -hi, -lo
+    return ("gap", (Fraction(lo, scale), Fraction(hi, scale), n))
 
 
 # ---------------------------------------------------------------------------
 # fat-Cantor locator: construction-tree walk
 # ---------------------------------------------------------------------------
+
+
+def _svc_walk(x: Fraction, depth: int, settle: bool):
+    """Walk x in [0, 1] down ``depth`` steps of the fat-Cantor construction.
+
+    Returns ('gap', (l, r, step)) when x falls into the gap removed at
+    ``step``; ('member', None) when ``settle`` and x is proven a member on
+    the way; else ('cell', (lo, hi)), the depth-``depth`` cell holding x.
+
+    Step s works on the scale 2^(2s+1), where the cell it splits has
+    integer endpoints lo and lo + 2^(s+1) + 4 and the gap it removes is
+    (lo + 2^s + 1, lo + 2^s + 3). The walk keeps lo and a = (x − lo)·q on
+    that scale, x = p/q, so every comparison is between integers.
+
+    Dyadic rationals always settle: at step s >= 2 the cell endpoints are
+    integers on the scale 2^(2s−1) and the removed gap is centered on a
+    half-integer with half-width 1/4 on that scale, so a point that is an
+    integer on the scale can never fall into that gap or any later one.
+    A surviving dyadic is therefore a member as soon as the scale catches
+    up with its denominator.
+    """
+    p, q = x.numerator, x.denominator
+    dyadic = settle and q & (q - 1) == 0
+    lo, a = 0, p << 3
+    for step in range(1, depth + 1):
+        t = q << step
+        if settle and (a == 0 or a == 2 * t + 4 * q):
+            return ("member", None)
+        if dyadic and step >= 2 and q <= 1 << (2 * step - 1):
+            return ("member", None)
+        left, right = t + q, t + 3 * q
+        if left < a < right:
+            g = lo + (1 << step) + 1
+            scale = 1 << (2 * step + 1)
+            return ("gap", (Fraction(g, scale), Fraction(g + 2, scale), step))
+        if a >= right:
+            lo += (1 << step) + 3
+            a -= right
+        lo <<= 2
+        a <<= 2
+    scale = 1 << (2 * depth + 3)
+    return ("cell", (Fraction(lo, scale), Fraction(lo + (1 << (depth + 2)) + 4, scale)))
 
 
 def _svc_locate(x: Fraction, depth_cap: int):
@@ -192,63 +249,38 @@ def _svc_locate(x: Fraction, depth_cap: int):
     Returns ('member', None), ('gap', (l, r, depth)), or raises
     UndecidedError carrying certified distance bounds if the walk is still
     ambiguous at the cap.
-
-    Dyadic rationals always resolve: at step s >= 2 every cell endpoint is
-    an integer on the scale 2^(2s-1), the removed gap is centered on a
-    half-integer with half-width 1/4 on that scale, so a point that is an
-    integer on the scale can never fall into that gap or any later one.
-    A surviving dyadic is therefore a member as soon as the scale catches
-    up with its denominator.
     """
-    den = x.denominator
-    dyadic = den & (den - 1) == 0
-    lo, hi = Fraction(0), Fraction(1)
-    for step in range(1, depth_cap + 1):
-        if x == lo or x == hi:
-            return ("member", None)
-        if dyadic and step >= 2 and den <= 1 << (2 * step - 1):
-            return ("member", None)
-        m = (lo + hi) / 2
-        half = Fraction(1, 4**step) / 2
-        g_lo, g_hi = m - half, m + half
-        if g_lo < x < g_hi:
-            return ("gap", (g_lo, g_hi, step))
-        if x <= g_lo:
-            hi = g_lo
-        else:
-            lo = g_hi
+    kind, data = _svc_walk(x, depth_cap, True)
+    if kind != "cell":
+        return (kind, data)
+    lo, hi = data
     raise UndecidedError(
         f"fat-Cantor query for {x} unresolved at depth {depth_cap}",
         bounds=(Fraction(0), min(x - lo, hi - x)),
     )
 
 
-def _locate(s: GeneratedSet, x: Fraction, depth_cap: int):
-    """Dispatch to the right locator; x must lie in the base interval."""
-    if s.kind == TERNARY_CANTOR:
+def _locate(kind: str, x: Fraction, depth_cap: int):
+    """Dispatch to the right locator; x must lie in the kind's base interval."""
+    if kind == TERNARY_CANTOR or kind == REFLECTED_CANTOR:
         return _cantor_locate(x)
-    if s.kind == SVC:
+    if kind == SVC:
         return _svc_locate(x, depth_cap)
-    if s.kind == REFLECTED_CANTOR:
-        kind, data = _cantor_locate(abs(x))
-        if kind == "gap" and x < 0:
-            l, r, depth = data
-            data = (-r, -l, depth)
-        return (kind, data)
-    raise ValueError(f"unknown set kind {s.kind!r}")
+    raise ValueError(f"unknown set kind {kind!r}")
 
 
 @lru_cache(maxsize=200_000)
-def _locate_default(kind: str, base: Iv, x: Fraction, depth_cap: int):
+def _locate_default(kind: str, x: Fraction, depth_cap: int):
     # the cap is part of the key: an answer found under one cap is not an
-    # answer under a smaller one
-    return _locate(GeneratedSet(kind, base), x, depth_cap)
+    # answer under a smaller one. The base is not: each kind fixes its base,
+    # and leaving it out spares hashing its two endpoints per lookup
+    return _locate(kind, x, depth_cap)
 
 
 def _locate_memo(s: GeneratedSet, x: Fraction, depth_cap=None):
     if depth_cap is None:
-        return _locate_default(s.kind, s.base, x, DEPTH_CAP_DEFAULT)
-    return _locate(s, x, depth_cap)
+        return _locate_default(s.kind, x, DEPTH_CAP_DEFAULT)
+    return _locate(s.kind, x, depth_cap)
 
 
 def member(s: GeneratedSet, x, depth_cap=None) -> bool:
@@ -308,21 +340,14 @@ def svc_stage_interval(x, depth: int) -> Iv:
     containing the member point x. Raises DomainError if x falls into a
     removed gap on the way down."""
     x = Fraction(x)
-    lo, hi = Fraction(0), Fraction(1)
-    if not lo <= x <= hi:
+    if not 0 <= x <= 1:
         raise DomainError(f"{x} outside [0,1]", witness=x)
-    for step in range(1, depth + 1):
-        m = (lo + hi) / 2
-        half = Fraction(1, 4**step) / 2
-        if m - half < x < m + half:
-            raise DomainError(
-                f"{x} falls into the step-{step} gap; not a member", witness=x
-            )
-        if x <= m - half:
-            hi = m - half
-        else:
-            lo = m + half
-    return Iv(lo, hi)
+    kind, data = _svc_walk(x, depth, False)
+    if kind == "gap":
+        raise DomainError(
+            f"{x} falls into the step-{data[2]} gap; not a member", witness=x
+        )
+    return Iv(*data)
 
 
 def endpoint_sample(s: GeneratedSet, depth: int, count: int, seed: int = 0):

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from gaugekit import Iv, sets
+from gaugekit import Iv, cov, sets
+from gaugekit.core import Gauge, cousin_partition
 from gaugekit.cov import (
     cov_check,
     cov_scan_all_subintervals,
@@ -13,6 +14,7 @@ from gaugekit.cov import (
     instances,
     integrand_with_convention,
     lookup_instance,
+    proof_gauge,
     svc_composition_check,
 )
 from gaugekit.errors import DomainError
@@ -245,6 +247,39 @@ class TestChannelConsistency:
             expected = inst.expected_for(inst.domain)
             got = "holds" if rep.holds else "fails"
             assert got == expected, name
+
+
+class TestNcvChannelOnEmptyB:
+    def test_ncv_channel_evaluates_nothing(self, monkeypatch):
+        # on ftc --fn square's instance B is empty and the Riemann channel's
+        # tree is closed: the NCV channel replays that tree for free, so it
+        # neither evaluates F∘g nor asks the gauge for a radius
+        radius_calls = []
+        radius_at = Gauge.radius_at
+        monkeypatch.setattr(Gauge, "radius_at",
+                            lambda self, x: radius_calls.append(x) or radius_at(self, x))
+        inst = ftc_instance(lookup("square"))
+        domain = Iv(-1, 1)
+        build_calls = 0
+        for eps in SCHED:
+            cousin_partition(domain, proof_gauge(inst, eps))
+            build_calls += len(radius_calls)
+            radius_calls.clear()
+        channel = []
+        row = cov._variation_row
+
+        def counted_row(f, *args):
+            fog_calls = []
+            before = len(radius_calls)
+            out = row(lambda x: fog_calls.append(x) or f(x), *args)
+            channel.append((len(fog_calls), len(radius_calls) - before))
+            return out
+
+        monkeypatch.setattr(cov, "_variation_row", counted_row)
+        rep = cov_check(inst, domain, SCHED, samples=5, seed=5)
+        assert rep.holds and rep.consistent
+        assert channel == [(0, 0)] * len(SCHED)
+        assert len(radius_calls) == build_calls
 
 
 class TestRegistry:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugekit import Iv, sets
+from gaugekit import Iv, funcs, sets
 from gaugekit.errors import DomainError, UndecidedError
 from gaugekit.sets import (
     complement_component,
@@ -22,6 +22,7 @@ from gaugekit.sets import (
     svc_stage_interval,
     ternary_cantor,
 )
+from test_core import _counted
 
 C = ternary_cantor()
 D = reflected_cantor()
@@ -326,3 +327,55 @@ class TestStageMembershipDeep:
                 for n in (1, 7, 20, 40):
                     expect = is_mem or depth > n
                     assert walker(x, n) == expect
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__",
+               "__neg__", "__abs__")
+
+
+class TestWorkCounts:
+    """Fraction work of one ternary walk, on a cold memo, and of one
+    memoised query: the walks run on integer remainders."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(("__hash__",) + _ARITHMETIC, 0)
+        for name in counts:
+            monkeypatch.setattr(F, name, _counted(getattr(F, name), counts, name))
+        sets._locate_default.cache_clear()
+        funcs.cantor_fn.cache_clear()
+        yield counts
+        monkeypatch.undo()
+        sets._locate_default.cache_clear()
+        funcs.cantor_fn.cache_clear()
+
+    @staticmethod
+    def _arithmetic(counts):
+        return sum(counts[name] for name in _ARITHMETIC)
+
+    @pytest.mark.parametrize("x, found", [
+        (F(1, 4), ("member", None)),  # 0.020202..._3, a periodic member
+        (F(1, 2), ("gap", (F(1, 3), F(2, 3), 1))),
+    ])
+    def test_locator_walk(self, counts, x, found):
+        assert sets._cantor_locate(x) == found
+        assert counts["__hash__"] == 0
+        assert self._arithmetic(counts) == 0
+
+    @pytest.mark.parametrize("x, value", [(F(1, 4), F(1, 3)), (F(1, 2), F(1, 2))])
+    def test_cantor_fn_walk(self, counts, x, value):
+        # the memo hashes its key once; the walk hashes nothing, and the
+        # value is built from integers, with no Fraction arithmetic at all
+        assert funcs.cantor_fn(x) == value
+        assert counts["__hash__"] == 1
+        assert self._arithmetic(counts) == 0
+
+    def test_memoised_member_hashes_the_point_only(self, counts):
+        # the memo key is (kind, point, cap): the base interval, which the
+        # kind fixes, is not hashed on each lookup
+        x = F(1, 4)
+        assert member(C, x)
+        counts["__hash__"] = 0
+        assert member(C, x)
+        assert counts["__hash__"] == 1
