@@ -61,12 +61,15 @@ class Iv:
     def __post_init__(self):
         # the builder passes Fractions already; wrapping them again would
         # allocate a copy of each endpoint
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+        lo, hi = self.lo, self.hi
+        if lo.__class__ is not Fraction:
+            lo = Fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if hi.__class__ is not Fraction:
+            hi = Fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
 
     @property
     def length(self) -> Fraction:
@@ -77,6 +80,14 @@ class Iv:
         return (self.lo + self.hi) / 2
 
     def __contains__(self, x) -> bool:
+        if x.__class__ is Fraction:
+            # denominators are positive: compare by integer cross-products
+            n, d = x.numerator, x.denominator
+            lo, hi = self.lo, self.hi
+            return (
+                lo.numerator * d <= n * lo.denominator
+                and n * hi.denominator <= hi.numerator * d
+            )
         return self.lo <= x <= self.hi
 
     def interior_contains(self, x) -> bool:
@@ -102,11 +113,13 @@ class ValueWithError:
     convention: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.value, Fraction):
+        if self.value.__class__ is not Fraction:
             object.__setattr__(self, "value", Fraction(self.value))
-        if not isinstance(self.err, Fraction):
-            object.__setattr__(self, "err", Fraction(self.err))
-        if self.err < 0:
+        err = self.err
+        if err.__class__ is not Fraction:
+            err = Fraction(err)
+            object.__setattr__(self, "err", err)
+        if err.numerator < 0:
             raise ValueError("error bound must be nonnegative")
 
     @property
@@ -253,12 +266,14 @@ class Gauge:
 
     def radius_at(self, x: Fraction) -> Fraction:
         try:
-            r = Fraction(self.radius(x))
+            r = self.radius(x)
+            if r.__class__ is not Fraction:
+                r = Fraction(r)
         except GaugeKitError:
             raise  # already classified, e.g. an undecided set query with its bounds
         except Exception as exc:  # noqa: BLE001 - any other failure is an invalid gauge
             raise InvalidGaugeError(f"gauge {self.name!r} failed at {x}: {exc}") from exc
-        if r <= 0:
+        if r.numerator <= 0:
             raise InvalidGaugeError(f"gauge {self.name!r} non-positive at {x}: {r}")
         return r
 
@@ -317,7 +332,8 @@ def _riemann_sums(f, parts):
     def term(tag, cell):
         v = f(tag)
         w = cell.length
-        return (v.value * w, v.err * w)
+        err = v.err
+        return (v.value * w, err * w if err else err)
 
     for part, (total, err) in _sample_sums(parts, term, 2):
         yield part, ValueWithError(total, err)
@@ -351,7 +367,7 @@ def _sample_sums(parts, term, width: int):
             for tag, cell in items:
                 t = term(tag, cell)
                 if t is not None:
-                    totals = [s + v for s, v in zip(totals, t)]
+                    totals = [s + v if v else s for s, v in zip(totals, t)]
         else:
             for old, (tag, cell) in zip(tags, items):
                 if tag is old:  # a replayed tag is the candidate object itself
@@ -359,9 +375,9 @@ def _sample_sums(parts, term, width: int):
                 gone = term(old, cell)
                 new = term(tag, cell)
                 if gone is not None:
-                    totals = [s - v for s, v in zip(totals, gone)]
+                    totals = [s - v if v else s for s, v in zip(totals, gone)]
                 if new is not None:
-                    totals = [s + v for s, v in zip(totals, new)]
+                    totals = [s + v if v else s for s, v in zip(totals, new)]
         tags = [tag for tag, _ in items]
         yield part, tuple(totals)
 

@@ -95,7 +95,10 @@ class CovInstance:
 
 def proof_gauge(inst: CovInstance, eps) -> Gauge:
     """The certified gauge: modulus of F∘g at eps/2 off B, the
-    conditional-variation gauge on B."""
+    conditional-variation gauge on B.
+
+    With B empty and no tag oracle on B's gauge there is nothing to
+    suggest, so the gauge has no oracle and the builder skips it."""
     eps = Fraction(eps)
     if inst.fog.modulus is None:
         raise UnsupportedInstanceError(
@@ -104,36 +107,56 @@ def proof_gauge(inst: CovInstance, eps) -> Gauge:
         )
     on_b = inst.ncv_gauge(eps)
     half = eps / 2
+    B, modulus, on_b_radius = inst.B, inst.fog.modulus, on_b.radius_at
 
     def radius(x):
-        x = Fraction(x)
-        if x in inst.B:
-            return on_b.radius_at(x)
-        return min(inst.fog.modulus(x, half), ONE)
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        if x in B:
+            return on_b_radius(x)
+        return min(modulus(x, half), ONE)
 
     def suggest(iv):
-        return inst.B.suggestion_points(iv) + on_b.suggestions(iv)
+        return B.suggestion_points(iv) + on_b.suggestions(iv)
 
+    if B is EMPTY_FAILURE and on_b.suggest_tag is None:
+        suggest = None
     return Gauge(radius=radius, suggest_tag=suggest, name=f"cov({inst.name})")
 
 
 def integrand_with_convention(inst: CovInstance) -> FnSpec:
-    """x ↦ f(g(x)) · h(x), h = g' off B and 0 on B."""
+    """x ↦ f(g(x)) · h(x), h = g' off B and 0 on B.
+
+    Relies on the ``FnSpec`` boundary: the integrand's own
+    ``FnSpec.__call__`` coerces x to a ``Fraction`` and checks it against
+    the integrand's domain, which is g's. The body therefore evaluates g
+    and f without ``FnSpec.__call__``, which would coerce and check x
+    again. Every other check runs once, in this order: B, g's failure set
+    and missing derivative (``g.deriv_at``), f's domain at g(x) (the
+    ``DomainError`` of ``FnSpec.__call__``), then an inexact g(x).
+    """
+    B, f = inst.B, inst.f
+    g_eval, g_deriv_at = inst.g.eval, inst.g.deriv_at
+    f_eval, f_domain = f.eval, f.domain
 
     def ev(x):
-        x = Fraction(x)
-        if x in inst.B:
+        if x in B:
             return ValueWithError(ZERO, ZERO, convention=True)
-        gp = inst.g.deriv_at(x)
-        gv = inst.g(x)
-        fv = inst.f(gv.value)
+        gp = g_deriv_at(x)
+        gv = g_eval(x)
+        u = gv.value
+        if u not in f_domain:
+            raise f.domain_error(u)
+        fv = f_eval(u)
         if gv.err != 0:
             raise UnsupportedInstanceError(
                 f"inexact inner value for {inst.name} integrand"
             )
-        return ValueWithError(
-            fv.value * gp.value, abs(fv.value) * gp.err + abs(gp.value) * fv.err
-        )
+        if fv.err or gp.err:
+            err = abs(fv.value) * gp.err + abs(gp.value) * fv.err
+        else:
+            err = ZERO
+        return ValueWithError(fv.value * gp.value, err)
 
     return FnSpec(
         name=f"({inst.f.name}∘{inst.g.name})·h",

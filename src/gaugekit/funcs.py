@@ -62,7 +62,9 @@ class FiniteFailureSet(FailureSet):
         self._members = frozenset(self.points)
 
     def __contains__(self, x) -> bool:
-        return Fraction(x) in self._members
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        return x in self._members
 
     def describe(self) -> str:
         return "finite{" + ",".join(rat_str(p) for p in self.points) + "}"
@@ -78,7 +80,14 @@ class GeneratedFailureSet(FailureSet):
         self.set = s
 
     def __contains__(self, x) -> bool:
-        return x in self.set.base and sets.member(self.set, x)
+        # the base check here is the only one: the memoised locate follows
+        # it directly, where sets.member would check the base again
+        s = self.set
+        if x not in s.base:
+            return False
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        return sets._locate_memo(s, x)[0] == "member"
 
     def describe(self) -> str:
         return f"generated({self.set.kind})"
@@ -97,7 +106,9 @@ class PredicateFailureSet(FailureSet):
         self._suggest = suggest
 
     def __contains__(self, x) -> bool:
-        return bool(self.fn(Fraction(x)))
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        return bool(self.fn(x))
 
     def describe(self) -> str:
         return f"predicate({self.description})"
@@ -204,10 +215,14 @@ class FnSpec:
         if x.__class__ is not Fraction:
             x = Fraction(x)
         if x not in self.domain:
-            raise DomainError(
-                f"{self.name} evaluated at {x} outside {self.domain}", witness=x
-            )
+            raise self.domain_error(x)
         return self.eval(x)
+
+    def domain_error(self, x: Fraction) -> DomainError:
+        """The error of evaluating at a point x outside the domain."""
+        return DomainError(
+            f"{self.name} evaluated at {x} outside {self.domain}", witness=x
+        )
 
     def deriv_at(self, x) -> ValueWithError:
         """Derivative off the failure set; 0 flagged convention on it."""
@@ -361,10 +376,16 @@ def identity_fn(domain: Iv, name: str = "identity") -> FnSpec:
 
 def square_fn(domain: Iv, name: str = "square") -> FnSpec:
     width = domain.length
+    last = (None, None)  # the latest eps and eps/width, swapped as one tuple
 
     def modulus(x, eps):
         # |y² − x² − 2x(y − x)| = (y − x)² <= eps|y − x|/width  iff  |y − x| <= eps/width
-        return Fraction(eps) / width
+        nonlocal last
+        seen, ratio = last
+        if seen is not eps:  # a gauge passes one eps object to every call
+            ratio = Fraction(eps) / width
+            last = (eps, ratio)
+        return ratio
 
     def band(x):
         return int(2 * abs(Fraction(x)))

@@ -285,7 +285,8 @@ def _locate_memo(s: GeneratedSet, x: Fraction, depth_cap=None):
 
 def member(s: GeneratedSet, x, depth_cap=None) -> bool:
     """Exact membership in the limit set; x must lie in the base interval."""
-    x = Fraction(x)
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
     if x not in s.base:
         raise DomainError(f"{x} outside base {s.base} of {s.kind}", witness=x)
     kind, _ = _locate_memo(s, x, depth_cap)
@@ -294,7 +295,8 @@ def member(s: GeneratedSet, x, depth_cap=None) -> bool:
 
 def complement_component(s: GeneratedSet, x, depth_cap=None) -> ComponentRef:
     """The maximal open interval around x disjoint from the limit set."""
-    x = Fraction(x)
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
     if not s.base.interior_contains(x):
         raise DomainError(
             f"{x} not interior to base {s.base} of {s.kind}", witness=x
@@ -314,7 +316,8 @@ def distance(s: GeneratedSet, x, depth_cap=None) -> Fraction:
     UndecidedError past the depth cap; use distance_bounds for the
     bounds-only variant.
     """
-    x = Fraction(x)
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
     if x < s.base.lo:
         return s.base.lo - x
     if x > s.base.hi:
