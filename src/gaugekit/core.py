@@ -47,7 +47,8 @@ def rat(value, den=None) -> Fraction:
 
 def rat_str(q: Fraction) -> str:
     """Serialize a rational as 'num/den' (always with denominator)."""
-    q = Fraction(q)
+    if q.__class__ is not Fraction:
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -91,6 +92,13 @@ class Iv:
         return self.lo <= x <= self.hi
 
     def interior_contains(self, x) -> bool:
+        if x.__class__ is Fraction:
+            n, d = x.numerator, x.denominator
+            lo, hi = self.lo, self.hi
+            return (
+                lo.numerator * d < n * lo.denominator
+                and n * hi.denominator < hi.numerator * d
+            )
         return self.lo < x < self.hi
 
     def contains_iv(self, other: "Iv") -> bool:
@@ -282,7 +290,8 @@ class Gauge:
             return ()
         out = []
         for c in self.suggest_tag(iv):
-            c = Fraction(c)
+            if c.__class__ is not Fraction:
+                c = Fraction(c)
             if c in iv:
                 out.append(c)
         return tuple(out)
@@ -296,10 +305,18 @@ def constant_gauge(r, name: Optional[str] = None) -> Gauge:
 
 
 def min_gauge(a: Gauge, b: Gauge, name: Optional[str] = None) -> Gauge:
-    """Pointwise minimum; suggestions of ``a`` are tried before ``b``'s."""
+    """Pointwise minimum; suggestions of ``a`` are tried before ``b``'s.
+
+    On a tie the radius is ``a``'s, as ``min`` would return it."""
+    a_radius, b_radius = a.radius_at, b.radius_at
 
     def radius(x):
-        return min(a.radius_at(x), b.radius_at(x))
+        ra = a_radius(x)
+        rb = b_radius(x)
+        # radius_at returns Fractions: compare by integer cross-products
+        if rb.numerator * ra.denominator < ra.numerator * rb.denominator:
+            return rb
+        return ra
 
     def suggest(iv):
         return a.suggestions(iv) + b.suggestions(iv)
@@ -447,6 +464,11 @@ class PartitionTree:
     items (the same tuple) without visiting a node or drawing anything from
     the ``rng`` they are given.
 
+    A sum whose terms depend on a tag only through its membership in a
+    set S is the same on every replay when each cell's acceptable
+    candidates agree on S (:meth:`tags_agree_on`); the variation sums use
+    this to sum one sample instead of replaying the rest.
+
     ``nodes`` holds, per node, either the candidate count of a bisected
     node (all of its candidates were rejected) or a tuple
     ``(cell, candidates, verdicts)`` for a cell, where ``verdicts[j]`` is
@@ -577,6 +599,42 @@ class PartitionTree:
             tag = _pick(iv, cands, verdicts, _order(len(cands), rng), gauge)
             items.append(Item(tag, iv))
         return items
+
+    def tags_agree_on(self, S) -> bool:
+        """Whether, in every recorded cell, the acceptable candidates all
+        lie in ``S`` or all lie outside it.
+
+        Then every replay gives each cell a tag of the same membership, so
+        a sum whose terms depend on a tag only through membership in ``S``
+        is the same on every replay. A closed tree agrees without a look.
+        Otherwise each cell with an unknown verdict has them all evaluated
+        and recorded, and ``S`` is asked about the acceptable candidates of
+        each cell with more than one. A radius or membership error
+        propagates; the verdicts recorded before it stay valid.
+        """
+        if self.items is not None:
+            return True
+        radius_at = self.gauge.radius_at
+        for node in self.nodes:
+            if node.__class__ is int:
+                continue
+            iv, cands, verdicts = node
+            if None in verdicts:
+                for j, ok in enumerate(verdicts):
+                    if ok is None:
+                        x = cands[j]
+                        r = radius_at(x)
+                        verdicts[j] = x - r < iv.lo and iv.hi < x + r
+            if verdicts.count(True) > 1:
+                inside = None
+                for x, ok in zip(cands, verdicts):
+                    if ok:
+                        here = x in S
+                        if inside is None:
+                            inside = here
+                        elif here is not inside:
+                            return False
+        return True
 
 
 def cousin_partition(

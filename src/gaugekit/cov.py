@@ -51,6 +51,7 @@ from .variation import (
     VariationReport,
     _variation_report,
     _variation_row,
+    _variation_samples,
     default_gauge,
     test_negligible_variation,
 )
@@ -114,7 +115,10 @@ def proof_gauge(inst: CovInstance, eps) -> Gauge:
             x = Fraction(x)
         if x in B:
             return on_b_radius(x)
-        return min(modulus(x, half), ONE)
+        r = modulus(x, half)
+        if r.__class__ is Fraction:  # a positive denominator: r > 1 on integers
+            return ONE if r.numerator > r.denominator else r
+        return min(r, ONE)
 
     def suggest(iv):
         return B.suggestion_points(iv) + on_b.suggestions(iv)
@@ -278,7 +282,9 @@ def cov_check(
         if not ok:
             refuted = True
         rows.append(CovRow(eps, tuple(sums), worst, ok))
-        parts = sample_partitions(interval, gauge, samples, ncv_master, max_depth, tree)
+        parts = _variation_samples(
+            interval, gauge, samples, ncv_master, max_depth, tree, inst.B
+        )
         row, found = _variation_row(inst.fog, inst.B, eps, gauge, samples, parts)
         ncv_rows.append(row)
         if ncv_witness is None:

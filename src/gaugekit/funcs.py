@@ -165,7 +165,11 @@ def nearest_set_points(s: sets.GeneratedSet, iv: Iv) -> Tuple[Fraction, ...]:
     interval are (those are members). Outside the hull the nearest hull
     endpoint is proposed.
     """
-    m = iv.midpoint
+    lo, hi = iv.lo, iv.hi
+    m = Fraction(
+        lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+        2 * lo.denominator * hi.denominator,
+    )
     if m < s.base.lo:
         return (s.base.lo,) if s.base.lo in iv else ()
     if m > s.base.hi:

@@ -80,10 +80,19 @@ def gauge_dist_complement(D: sets.GeneratedSet, name: Optional[str] = None) -> G
     tags are the set points nearest the cell midpoint.
     """
     S = GeneratedFailureSet(D)
+    base = D.base
 
     def radius(x):
-        x = Fraction(x)
-        return ONE if x in S else sets.distance(D, x)
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        if x not in base:
+            return sets.distance(D, x)
+        # one locate decides membership and, off the set, the distance
+        kind, data = sets._locate_memo(D, x)
+        if kind == "member":
+            return ONE
+        l, r, _ = data
+        return min(x - l, r - x)
 
     return Gauge(
         radius=radius,
@@ -353,6 +362,35 @@ def _below(v: ValueWithError, eps: Fraction) -> bool:
     return v.value + v.err < eps
 
 
+def _variation_samples(domain, gauge, samples, master, max_depth, tree, S):
+    """``sample_partitions`` for sums whose terms depend on a tag only
+    through its membership in ``S``, as the variation sums do.
+
+    Yields sample 0. If the tree it was built on is recorded and its cells'
+    acceptable tags agree on ``S`` (``PartitionTree.tags_agree_on``), every
+    later sample has sample 0's sums, so they are not replayed: ``master``
+    still gives each of them its draw, and its stream goes on as if they
+    had been. Otherwise, or if a radius or membership query raises during
+    the check, the later samples are replayed as ``sample_partitions``
+    yields them, and raise where they would.
+    """
+    parts = sample_partitions(domain, gauge, samples, master, max_depth, tree)
+    first = next(parts, None)
+    if first is None:
+        return
+    yield first
+    if samples > 1 and tree.nodes:
+        try:
+            agree = tree.tags_agree_on(S)
+        except Exception:  # noqa: BLE001 - a replay raises it where it reaches it
+            agree = False
+        if agree:
+            for _ in range(samples - 1):
+                master.getrandbits(64)
+            return
+    yield from parts
+
+
 def _variation_row(f, E, eps: Fraction, gauge: Gauge, samples: int, parts):
     """Grade one epsilon's sampled partitions on both criteria.
 
@@ -415,6 +453,12 @@ def test_negligible_variation(
     signed sum reaches eps refutes both (for the gauge the builder
     produced) and is returned as the witness. Consecutive epsilons whose
     builder returns the same gauge object share one partition tree.
+
+    The sums count a tag only through its membership in E. When each
+    cell's acceptable tags agree on E, every sampled partition has sample
+    0's sums, so only sample 0 is summed and the rest are not replayed;
+    the seed stream, the rows and the witness are those of a full run (see
+    ``_variation_samples``).
     """
     if domain is None:
         domain = f.domain
@@ -427,8 +471,9 @@ def test_negligible_variation(
         gauge = gauge_builder(eps)
         if tree is None or tree.gauge is not gauge:
             tree = PartitionTree()
-        parts = sample_partitions(domain, gauge, samples, master, max_depth, tree)
-        row, found = _variation_row(f, E, eps, gauge, samples, parts)
+        S = point_set(E)
+        parts = _variation_samples(domain, gauge, samples, master, max_depth, tree, S)
+        row, found = _variation_row(f, S, eps, gauge, samples, parts)
         rows.append(row)
         if witness is None:
             witness = found
