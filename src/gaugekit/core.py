@@ -108,6 +108,19 @@ class Iv:
         return f"[{self.lo},{self.hi}]"
 
 
+_new_object = object.__new__
+_set_slot = object.__setattr__
+
+
+def _ordered_iv(lo: Fraction, hi: Fraction) -> Iv:
+    """An Iv of two Fractions already known to be in order, without the
+    coercion and order check of ``Iv.__post_init__``: the bisection's halves."""
+    iv = _new_object(Iv)
+    _set_slot(iv, "lo", lo)
+    _set_slot(iv, "hi", hi)
+    return iv
+
+
 @dataclass(frozen=True, slots=True)
 class ValueWithError:
     """A value plus a certified worst-case absolute error bound.
@@ -288,11 +301,17 @@ class Gauge:
     def suggestions(self, iv: Iv) -> tuple:
         if self.suggest_tag is None:
             return ()
+        offered = self.suggest_tag(iv)
+        if offered.__class__ is tuple and not offered:  # nothing to filter
+            return ()
         out = []
-        for c in self.suggest_tag(iv):
+        lo, hi = iv.lo, iv.hi
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        for c in offered:
             if c.__class__ is not Fraction:
                 c = Fraction(c)
-            if c in iv:
+            cn, cd = c.numerator, c.denominator
+            if ln * cd <= cn * ld and cn * hd <= hn * cd:  # c in iv
                 out.append(c)
         return tuple(out)
 
@@ -318,8 +337,15 @@ def min_gauge(a: Gauge, b: Gauge, name: Optional[str] = None) -> Gauge:
             return rb
         return ra
 
-    def suggest(iv):
-        return a.suggestions(iv) + b.suggestions(iv)
+    # Gauge.suggestions coerces and filters the points of the oracle below
+    # once, so the two oracles are asked directly; with one of them, it is
+    # the oracle
+    a_sugg, b_sugg = a.suggest_tag, b.suggest_tag
+    if a_sugg is None or b_sugg is None:
+        suggest = a_sugg or b_sugg
+    else:
+        def suggest(iv):
+            return tuple(a_sugg(iv)) + tuple(b_sugg(iv))
 
     return Gauge(radius=radius, suggest_tag=suggest, name=name or f"min({a.name},{b.name})")
 
@@ -380,11 +406,7 @@ def _sample_sums(parts, term, width: int):
             continue
         prev = items
         if tags is None:
-            totals = [ZERO] * width
-            for tag, cell in items:
-                t = term(tag, cell)
-                if t is not None:
-                    totals = [s + v if v else s for s, v in zip(totals, t)]
+            totals = _grouped_sums(items, term, width)
         else:
             for old, (tag, cell) in zip(tags, items):
                 if tag is old:  # a replayed tag is the candidate object itself
@@ -397,6 +419,26 @@ def _sample_sums(parts, term, width: int):
                     totals = [s + v if v else s for s, v in zip(totals, new)]
         tags = [tag for tag, _ in items]
         yield part, tuple(totals)
+
+
+def _grouped_sums(items, term, width: int) -> list:
+    """The exact totals ``[Σ t[0], ..., Σ t[width - 1]]`` over the items'
+    non-None terms ``t = term(tag, cell)``.
+
+    Each total adds the numerators of its entries into a dict keyed by
+    their denominators and builds one Fraction per key at the end, so the
+    integer additions replace one gcd per term. Sums with few distinct
+    denominators gain most: the Cantor increments and the Riemann terms of
+    a dyadic bisection have powers of two.
+    """
+    groups = [{} for _ in range(width)]
+    for tag, cell in items:
+        t = term(tag, cell)
+        if t is not None:
+            for group, v in zip(groups, t):
+                d = v.denominator
+                group[d] = group.get(d, 0) + v.numerator
+    return [sum((Fraction(n, d) for d, n in group.items()), ZERO) for group in groups]
 
 
 def _order(n: int, rng: Optional[random.Random]):
@@ -425,11 +467,42 @@ def _pick(iv: Iv, cands: tuple, verdicts: list, order, gauge: Gauge):
         ok = verdicts[j]
         if ok is None:
             x = cands[j]
-            r = gauge.radius_at(x)
-            ok = verdicts[j] = x - r < iv.lo and iv.hi < x + r
+            ok = verdicts[j] = _ball_holds(x, gauge.radius_at(x), iv.lo, iv.hi)
         if ok:
             return cands[j]
     return None
+
+
+def _ball_holds(x: Fraction, r: Fraction, lo: Fraction, hi: Fraction) -> bool:
+    """Whether the open ball of radius r around x strictly contains
+    [lo, hi], that is ``x - r < lo and hi < x + r``, decided by integer
+    cross-products (every denominator is positive)."""
+    xn, xd = x.numerator, x.denominator
+    rn, rd = r.numerator, r.denominator
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    # x − lo < r and hi − x < r
+    return (
+        (xn * ld - ln * xd) * rd < rn * xd * ld
+        and (hn * xd - xn * hd) * rd < rn * xd * hd
+    )
+
+
+def _candidates(sugg: tuple, lo: Fraction, hi: Fraction, m: Fraction):
+    """The candidate tags ``sugg + (lo, hi, m)`` without repeated values,
+    each kept at its first position as its first object (what
+    ``dict.fromkeys`` gives), and the positions of lo, hi and m.
+
+    Values are told apart by their (numerator, denominator) pairs, which
+    name a Fraction's value: no Fraction is hashed or compared.
+    """
+    cands, pos, at = [], {}, []
+    for c in sugg + (lo, hi, m):
+        j = pos.setdefault((c.numerator, c.denominator), len(cands))
+        if j == len(cands):
+            cands.append(c)
+        at.append(j)
+    return (tuple(cands), *at[-3:])
 
 
 # Depth offsets of the default candidates (lo, hi, midpoint): the ball
@@ -462,7 +535,9 @@ class PartitionTree:
     verdicts known and exactly one candidate accepted: then every candidate
     order gives the same partition, and replays return the first build's
     items (the same tuple) without visiting a node or drawing anything from
-    the ``rng`` they are given.
+    the ``rng`` they are given. A replay without an ``rng`` tries each
+    node's candidates in their recorded order, so it picks what the first
+    such walk picked, and it returns that walk's items (the same tuple).
 
     A sum whose terms depend on a tag only through its membership in a
     set S is the same on every replay when each cell's acceptable
@@ -484,6 +559,7 @@ class PartitionTree:
         self.max_depth: Optional[int] = None
         self.nodes: list = []
         self.items: Optional[tuple] = None
+        self.first: Optional[tuple] = None
 
     def _bind(self, domain: Iv, gauge: Gauge, max_depth: int) -> None:
         if self.gauge is None:
@@ -513,14 +589,13 @@ class PartitionTree:
         midpoint are known by then; they travel down the stack, and a child
         evaluates only its midpoint and its suggested tags, lazily and in
         its candidate order. A suggested tag that is not an endpoint or the
-        midpoint keeps the exact ball test.
+        midpoint keeps the exact ball test (``_ball_holds``).
         """
         domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
         radius_at = gauge.radius_at
         oracle = gauge.suggest_tag is not None
         width = domain.hi - domain.lo
         wn, wd = width.numerator, width.denominator
-        half = [width / 2]  # half[d]: half the width of a depth-d cell
         nodes = []
         items = []
         closed = True
@@ -528,16 +603,14 @@ class PartitionTree:
         while stack:
             iv, depth, k_lo, k_hi = stack.pop()
             lo, hi = iv.lo, iv.hi
-            if depth == len(half):
-                half.append(half[-1] / 2)
-            m = lo + half[depth]
+            ld, hd = lo.denominator, hi.denominator
+            m = Fraction(lo.numerator * hd + hi.numerator * ld, 2 * ld * hd)
             sugg = gauge.suggestions(iv) if oracle else ()
             if sugg or not wn:
                 # suggestions first; a suggested endpoint or midpoint keeps
                 # its depth offset, and a degenerate cell has one candidate
-                cands = tuple(dict.fromkeys(sugg + (lo, hi, m)))
+                cands, i_lo, i_hi, i_mid = _candidates(sugg, lo, hi, m)
                 n = len(cands)
-                i_lo, i_hi, i_mid = cands.index(lo), cands.index(hi), cands.index(m)
                 offsets = [None] * n
                 offsets[i_lo] = offsets[i_hi] = 0
                 offsets[i_mid] = 1
@@ -558,7 +631,7 @@ class PartitionTree:
                     r = radius_at(x)
                     off = offsets[j]
                     if off is None:
-                        ok = x - r < lo and hi < x + r
+                        ok = _ball_holds(x, r, lo, hi)
                     else:
                         k = reach[j] = (wn * r.denominator // (wd * r.numerator)).bit_length()
                         ok = depth + off >= k
@@ -578,17 +651,21 @@ class PartitionTree:
                     )
                 nodes.append(n)
                 k_mid = reach[i_mid]
-                stack.append((Iv(m, hi), depth + 1, k_mid, reach[i_hi]))
-                stack.append((Iv(lo, m), depth + 1, reach[i_lo], k_mid))
+                stack.append((_ordered_iv(m, hi), depth + 1, k_mid, reach[i_hi]))
+                stack.append((_ordered_iv(lo, m), depth + 1, reach[i_lo], k_mid))
         # recorded only once complete, so a failed build leaves the tree empty
         items = tuple(items)
         self.nodes = nodes
         self.items = items if closed else None
+        if rng is None:
+            self.first = items
         return items
 
     def _replay(self, rng: Optional[random.Random]):
         if self.items is not None:
             return self.items
+        if rng is None and self.first is not None:
+            return self.first
         gauge = self.gauge
         items = []
         for node in self.nodes:
@@ -598,6 +675,9 @@ class PartitionTree:
             iv, cands, verdicts = node
             tag = _pick(iv, cands, verdicts, _order(len(cands), rng), gauge)
             items.append(Item(tag, iv))
+        items = tuple(items)
+        if rng is None:
+            self.first = items
         return items
 
     def tags_agree_on(self, S) -> bool:
@@ -623,8 +703,7 @@ class PartitionTree:
                 for j, ok in enumerate(verdicts):
                     if ok is None:
                         x = cands[j]
-                        r = radius_at(x)
-                        verdicts[j] = x - r < iv.lo and iv.hi < x + r
+                        verdicts[j] = _ball_holds(x, radius_at(x), iv.lo, iv.hi)
             if verdicts.count(True) > 1:
                 inside = None
                 for x, ok in zip(cands, verdicts):

@@ -232,6 +232,7 @@ def cov_check(
     """
     if interval is None:
         interval = inst.domain
+    schedule = tuple(schedule)  # read by the sampled left side and the loop
     if not inst.domain.contains_iv(interval):
         raise DomainError(f"{interval} not inside {inst.domain}")
     g_a = inst.g(interval.lo)
@@ -384,6 +385,7 @@ def cov_scan_all_subintervals(
     criterion on B; one failing cell refutes it. The reformulation in terms
     of the zero-derivative set and declared null sets is reported alongside.
     """
+    schedule = tuple(schedule)  # every cell and every set reads it
     if grid is None:
         cells = _dyadic_grid(inst.domain)
         extra = [iv for iv, _ in inst.expected_cells] + [inst.domain]

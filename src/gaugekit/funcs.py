@@ -78,14 +78,21 @@ class GeneratedFailureSet(FailureSet):
 
     def __init__(self, s: sets.GeneratedSet):
         self.set = s
+        lo, hi = s.base.lo, s.base.hi
+        self._base = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
     def __contains__(self, x) -> bool:
         # the base check here is the only one: the memoised locate follows
         # it directly, where sets.member would check the base again
         s = self.set
-        if x not in s.base:
+        if x.__class__ is Fraction:
+            xn, xd = x.numerator, x.denominator
+            ln, ld, hn, hd = self._base
+            if not (ln * xd <= xn * ld and xn * hd <= hn * xd):
+                return False
+        elif x not in s.base:
             return False
-        if x.__class__ is not Fraction:
+        else:
             x = Fraction(x)
         return sets._locate_memo(s, x)[0] == "member"
 
@@ -166,20 +173,33 @@ def nearest_set_points(s: sets.GeneratedSet, iv: Iv) -> Tuple[Fraction, ...]:
     endpoint is proposed.
     """
     lo, hi = iv.lo, iv.hi
-    m = Fraction(
-        lo.numerator * hi.denominator + hi.numerator * lo.denominator,
-        2 * lo.denominator * hi.denominator,
-    )
-    if m < s.base.lo:
-        return (s.base.lo,) if s.base.lo in iv else ()
-    if m > s.base.hi:
-        return (s.base.hi,) if s.base.hi in iv else ()
-    if m == s.base.lo or m == s.base.hi:
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    m = Fraction(ln * hd + hn * ld, 2 * ld * hd)
+    mn, md = m.numerator, m.denominator
+    base = s.base
+    b_lo, b_hi = base.lo, base.hi
+    bln, bld, bhn, bhd = b_lo.numerator, b_lo.denominator, b_hi.numerator, b_hi.denominator
+    # the signs of m − b_lo and m − b_hi, by cross-products
+    below = mn * bld - bln * md
+    if below < 0:
+        return (b_lo,) if b_lo in iv else ()
+    above = mn * bhd - bhn * md
+    if above > 0:
+        return (b_hi,) if b_hi in iv else ()
+    if not below or not above:
         return (m,)
-    if sets.member(s, m):
+    kind, data = sets._locate_memo(s, m)
+    if kind == "member":
         return (m,)
-    comp = sets.complement_component(s, m).interval
-    return tuple(p for p in (comp.lo, comp.hi) if p in iv and p in s.base)
+    out = ()
+    for p in data[:2]:  # the complement component's endpoints
+        pn, pd = p.numerator, p.denominator
+        if (
+            ln * pd <= pn * ld and pn * hd <= hn * pd  # p in iv
+            and bln * pd <= pn * bld and pn * bhd <= bhn * pd  # p in the base
+        ):
+            out += (p,)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +287,6 @@ def deriv_spec(f: FnSpec, name: Optional[str] = None) -> FnSpec:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=200_000)
 def cantor_fn(x) -> Fraction:
     """The Cantor-Lebesgue function, exactly, for any rational in [0, 1].
 
@@ -275,14 +294,23 @@ def cantor_fn(x) -> Fraction:
     until the first 1 (which contributes the final binary digit) or until
     the remainder repeats; a repeating block of 0/2 digits sums as a
     geometric series. Runs at most den(x) + 1 steps and builds one
-    Fraction, the result.
+    Fraction, the result. Values are memoised on x's numerator and
+    denominator.
     """
-    x = Fraction(x)
-    if not ZERO <= x <= ONE:
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    if p < 0 or p > q:
         raise DomainError(f"cantor_fn needs x in [0,1], got {x}", witness=x)
-    if x == 1:
+    return _cantor_value(p, q)
+
+
+@lru_cache(maxsize=200_000)
+def _cantor_value(p: int, q: int) -> Fraction:
+    """``cantor_fn`` at p/q, 0 <= p <= q in lowest terms."""
+    if p == q:
         return ONE
-    n, _, bits, start, _ = sets._ternary_walk(x.numerator, x.denominator)
+    n, _, bits, start, _ = sets._ternary_walk(p, q)
     if start is None:
         return Fraction(2 * bits + 1, 1 << n)
     # bits = head·2^L + cyc with an L-bit cycle after `start` digits; the

@@ -173,15 +173,15 @@ def _ternary_walk(p: int, q: int):
     return (n, prefix, bits, seen[r], None)
 
 
-def _cantor_locate(x: Fraction):
-    """Classify x in [−1, 1] against C ∪ (−C); for x in [0, 1] that is C.
+def _cantor_classify(p: int, q: int):
+    """Classify x = p/q in [−1, 1], in lowest terms, against C ∪ (−C); for
+    x in [0, 1] that is C.
 
     Returns ('member', None) or ('gap', (l, r, depth)) where (l, r) is the
     maximal removed middle third containing x (reflected for x < 0). The
     walk runs on |x|'s integer remainders; Fractions are built only for a
     gap's endpoints.
     """
-    p, q = x.numerator, x.denominator
     a = abs(p)
     if a == q:
         return ("member", None)
@@ -196,13 +196,19 @@ def _cantor_locate(x: Fraction):
     return ("gap", (Fraction(lo, scale), Fraction(hi, scale), n))
 
 
+def _cantor_locate(x: Fraction):
+    """``_cantor_classify`` of a Fraction x."""
+    return _cantor_classify(x.numerator, x.denominator)
+
+
 # ---------------------------------------------------------------------------
 # fat-Cantor locator: construction-tree walk
 # ---------------------------------------------------------------------------
 
 
-def _svc_walk(x: Fraction, depth: int, settle: bool):
-    """Walk x in [0, 1] down ``depth`` steps of the fat-Cantor construction.
+def _svc_walk(p: int, q: int, depth: int, settle: bool):
+    """Walk x = p/q in [0, 1], in lowest terms, down ``depth`` steps of the
+    fat-Cantor construction.
 
     Returns ('gap', (l, r, step)) when x falls into the gap removed at
     ``step``; ('member', None) when ``settle`` and x is proven a member on
@@ -220,7 +226,6 @@ def _svc_walk(x: Fraction, depth: int, settle: bool):
     A surviving dyadic is therefore a member as soon as the scale catches
     up with its denominator.
     """
-    p, q = x.numerator, x.denominator
     dyadic = settle and q & (q - 1) == 0
     lo, a = 0, p << 3
     for step in range(1, depth + 1):
@@ -243,44 +248,57 @@ def _svc_walk(x: Fraction, depth: int, settle: bool):
     return ("cell", (Fraction(lo, scale), Fraction(lo + (1 << (depth + 2)) + 4, scale)))
 
 
-def _svc_locate(x: Fraction, depth_cap: int):
-    """Classify x in [0,1] against the fat Cantor set.
+def _svc_classify(p: int, q: int, depth_cap: int):
+    """Classify x = p/q in [0,1], in lowest terms, against the fat Cantor set.
 
     Returns ('member', None), ('gap', (l, r, depth)), or raises
     UndecidedError carrying certified distance bounds if the walk is still
     ambiguous at the cap.
     """
-    kind, data = _svc_walk(x, depth_cap, True)
+    kind, data = _svc_walk(p, q, depth_cap, True)
     if kind != "cell":
         return (kind, data)
-    lo, hi = data
+    x = Fraction(p, q)
     raise UndecidedError(
         f"fat-Cantor query for {x} unresolved at depth {depth_cap}",
-        bounds=(Fraction(0), min(x - lo, hi - x)),
+        bounds=(Fraction(0), _inner_distance(x, *data)),
     )
 
 
-def _locate(kind: str, x: Fraction, depth_cap: int):
-    """Dispatch to the right locator; x must lie in the kind's base interval."""
+def _svc_locate(x: Fraction, depth_cap: int):
+    """``_svc_classify`` of a Fraction x."""
+    return _svc_classify(x.numerator, x.denominator, depth_cap)
+
+
+def _classify(kind: str, p: int, q: int, depth_cap: int):
+    """Dispatch on x = p/q in lowest terms, which must lie in the kind's
+    base interval, to the right locator."""
     if kind == TERNARY_CANTOR or kind == REFLECTED_CANTOR:
-        return _cantor_locate(x)
+        return _cantor_classify(p, q)
     if kind == SVC:
-        return _svc_locate(x, depth_cap)
+        return _svc_classify(p, q, depth_cap)
     raise ValueError(f"unknown set kind {kind!r}")
 
 
+def _locate(kind: str, x: Fraction, depth_cap: int):
+    """``_classify`` of a Fraction x."""
+    return _classify(kind, x.numerator, x.denominator, depth_cap)
+
+
 @lru_cache(maxsize=200_000)
-def _locate_default(kind: str, x: Fraction, depth_cap: int):
-    # the cap is part of the key: an answer found under one cap is not an
-    # answer under a smaller one. The base is not: each kind fixes its base,
-    # and leaving it out spares hashing its two endpoints per lookup
-    return _locate(kind, x, depth_cap)
+def _locate_default(kind: str, p: int, q: int, depth_cap: int):
+    # keyed on the point's numerator and denominator: a Fraction is in
+    # lowest terms with a positive denominator, so they name its value, and
+    # hashing two ints is cheaper than Fraction.__hash__. The cap is part of
+    # the key: an answer found under one cap is not an answer under a
+    # smaller one. The base is not: each kind fixes its base
+    return _classify(kind, p, q, depth_cap)
 
 
 def _locate_memo(s: GeneratedSet, x: Fraction, depth_cap=None):
     if depth_cap is None:
-        return _locate_default(s.kind, x, DEPTH_CAP_DEFAULT)
-    return _locate(s.kind, x, depth_cap)
+        return _locate_default(s.kind, x.numerator, x.denominator, DEPTH_CAP_DEFAULT)
+    return _classify(s.kind, x.numerator, x.denominator, depth_cap)
 
 
 def member(s: GeneratedSet, x, depth_cap=None) -> bool:
@@ -326,7 +344,20 @@ def distance(s: GeneratedSet, x, depth_cap=None) -> Fraction:
     if kind == "member":
         return Fraction(0)
     l, r, _ = data
-    return min(x - l, r - x)
+    return _inner_distance(x, l, r)
+
+
+def _inner_distance(x: Fraction, l: Fraction, r: Fraction) -> Fraction:
+    """min(x − l, r − x), for x in [l, r], built as one Fraction from
+    integer cross-products: no Fraction subtraction or comparison."""
+    xn, xd = x.numerator, x.denominator
+    ln, ld = l.numerator, l.denominator
+    rn, rd = r.numerator, r.denominator
+    an, ad = xn * ld - ln * xd, xd * ld  # x − l
+    bn, bd = rn * xd - xn * rd, rd * xd  # r − x
+    if bn * ad < an * bd:
+        return Fraction(bn, bd)
+    return Fraction(an, ad)
 
 
 def distance_bounds(s: GeneratedSet, x, depth_cap=None) -> Tuple[Fraction, Fraction]:
@@ -345,7 +376,7 @@ def svc_stage_interval(x, depth: int) -> Iv:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise DomainError(f"{x} outside [0,1]", witness=x)
-    kind, data = _svc_walk(x, depth, False)
+    kind, data = _svc_walk(x.numerator, x.denominator, depth, False)
     if kind == "gap":
         raise DomainError(
             f"{x} falls into the step-{data[2]} gap; not a member", witness=x

@@ -58,7 +58,8 @@ def _variation_sums(f, S, parts):
         hi = f(cell.hi)
         lo = f(cell.lo)
         delta = hi.value - lo.value
-        return (abs(delta), hi.err + lo.err, delta)
+        err = hi.err + lo.err if hi.err or lo.err else ZERO
+        return (abs(delta), err, delta)
 
     for part, (abs_total, abs_err, signed_total) in _sample_sums(parts, term, 3):
         yield part, (
@@ -80,19 +81,21 @@ def gauge_dist_complement(D: sets.GeneratedSet, name: Optional[str] = None) -> G
     tags are the set points nearest the cell midpoint.
     """
     S = GeneratedFailureSet(D)
-    base = D.base
+    lo, hi = D.base.lo, D.base.hi
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
     def radius(x):
         if x.__class__ is not Fraction:
             x = Fraction(x)
-        if x not in base:
+        xn, xd = x.numerator, x.denominator
+        if not (ln * xd <= xn * ld and xn * hd <= hn * xd):  # x outside the base
             return sets.distance(D, x)
         # one locate decides membership and, off the set, the distance
         kind, data = sets._locate_memo(D, x)
         if kind == "member":
             return ONE
         l, r, _ = data
-        return min(x - l, r - x)
+        return sets._inner_distance(x, l, r)
 
     return Gauge(
         radius=radius,
@@ -462,6 +465,7 @@ def test_negligible_variation(
     """
     if domain is None:
         domain = f.domain
+    S = point_set(E)  # once: a one-shot iterable E is read by the first call
     master = random.Random(seed)
     rows = []
     witness = None
@@ -471,7 +475,6 @@ def test_negligible_variation(
         gauge = gauge_builder(eps)
         if tree is None or tree.gauge is not gauge:
             tree = PartitionTree()
-        S = point_set(E)
         parts = _variation_samples(domain, gauge, samples, master, max_depth, tree, S)
         row, found = _variation_row(f, S, eps, gauge, samples, parts)
         rows.append(row)
@@ -649,6 +652,7 @@ def subinterval_ncv_scan(
     below epsilon.
     """
     S = point_set(E)
+    schedule = tuple(schedule)  # every grid cell reads it
     out = []
     refuted = False
     for k, cell in enumerate(grid):

@@ -1,0 +1,95 @@
+"""Plain Fraction references for the exact hot path.
+
+Each function is the straightforward version of a fast path in gaugekit,
+written for clarity, not speed: memo keys are the Fraction points
+themselves, tests compare Fractions, and sums add Fractions one by one.
+``tests/test_oracle.py`` compares every fast path with its reference here.
+"""
+
+from fractions import Fraction as F
+from functools import lru_cache
+
+from gaugekit import sets
+from gaugekit.errors import DomainError
+
+ZERO = F(0)
+ONE = F(1)
+
+
+@lru_cache(maxsize=None)
+def _locate_keyed_on_fraction(kind, x, depth_cap):
+    return sets._locate(kind, x, depth_cap)
+
+
+def locate_memo(s, x, depth_cap=None):
+    """``sets._locate_memo`` with the memo keyed on the Fraction point."""
+    cap = sets.DEPTH_CAP_DEFAULT if depth_cap is None else depth_cap
+    return _locate_keyed_on_fraction(s.kind, x, cap)
+
+
+def nearest_set_points(s, iv):
+    """``funcs.nearest_set_points`` by Fraction comparisons, asking
+    ``sets.member`` and then ``sets.complement_component``."""
+    m = iv.midpoint
+    if m < s.base.lo:
+        return (s.base.lo,) if s.base.lo in iv else ()
+    if m > s.base.hi:
+        return (s.base.hi,) if s.base.hi in iv else ()
+    if m == s.base.lo or m == s.base.hi:
+        return (m,)
+    if sets.member(s, m):
+        return (m,)
+    comp = sets.complement_component(s, m).interval
+    return tuple(p for p in (comp.lo, comp.hi) if p in iv and p in s.base)
+
+
+def generated_contains(s, x):
+    """``x in GeneratedFailureSet(s)``: x in the base and a member."""
+    return x in s.base and sets.member(s, x)
+
+
+def candidates(sugg, lo, hi, m):
+    """The builder's candidate tags, deduplicated by hashing the Fractions,
+    and the positions of lo, hi and m among them."""
+    cands = tuple(dict.fromkeys(sugg + (lo, hi, m)))
+    return (cands, cands.index(lo), cands.index(hi), cands.index(m))
+
+
+def ball_holds(x, r, lo, hi):
+    """Whether the open ball of radius r around x contains [lo, hi]."""
+    return x - r < lo and hi < x + r
+
+
+def inner_distance(x, l, r):
+    return min(x - l, r - x)
+
+
+def suggestions(gauge, iv):
+    """``Gauge.suggestions``: every offered point coerced and kept if in iv."""
+    if gauge.suggest_tag is None:
+        return ()
+    return tuple(c for c in map(F, gauge.suggest_tag(iv)) if c in iv)
+
+
+def running_sums(items, term, width):
+    """Σ of the non-None ``term(tag, cell)`` tuples, one Fraction at a time."""
+    totals = [ZERO] * width
+    for tag, cell in items:
+        t = term(tag, cell)
+        if t is not None:
+            totals = [s + v for s, v in zip(totals, t)]
+    return totals
+
+
+def cantor_fn(x):
+    """The Cantor function with its domain checked on Fractions."""
+    x = F(x)
+    if not ZERO <= x <= ONE:
+        raise DomainError(f"cantor_fn needs x in [0,1], got {x}", witness=x)
+    if x == 1:
+        return ONE
+    n, _, bits, start, _ = sets._ternary_walk(x.numerator, x.denominator)
+    if start is None:
+        return F(2 * bits + 1, 1 << n)
+    period = n - start
+    return F(bits - (bits >> period), ((1 << period) - 1) << start)

@@ -293,3 +293,24 @@ class TestRegistry:
         assert inst.expected_for(Iv(-1, 1)) == "holds"
         assert inst.expected_for(Iv(0, 1)) == "fails"
         assert inst.expected_for(Iv(0, F(1, 2))) is None
+
+
+class TestOneShotSchedule:
+    """A schedule given as a generator is read once per call: every grid
+    cell, both sides of a sampled check and every set see all of it."""
+
+    def test_sampled_check_reads_the_whole_schedule(self):
+        import dataclasses
+
+        inst = dataclasses.replace(lookup_instance("cantorabs-unit"), name="s", F=None)
+        new = cov_check(inst, Iv(0, 1), (e for e in SCHED), samples=2, seed=5)
+        assert new.payload() == cov_check(inst, Iv(0, 1), SCHED, samples=2, seed=5).payload()
+        assert len(new.rows) == len(SCHED)
+
+    def test_scan_reads_the_whole_schedule(self):
+        inst = lookup_instance("square-sub")
+        grid = [Iv(0, F(1, 2)), Iv(F(1, 2), 1)]
+        new = cov_scan_all_subintervals(inst, grid, (e for e in SCHED), samples=2, seed=1)
+        old = cov_scan_all_subintervals(inst, grid, SCHED, samples=2, seed=1)
+        assert new.payload() == old.payload()
+        assert all(len(rep.rows) == len(SCHED) for _, rep in new.cells)

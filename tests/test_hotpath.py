@@ -685,7 +685,7 @@ PACKAGE = (gaugekit, core, sets, funcs, variation, cov, cli)
 
 def _clear_caches():
     sets._locate_default.cache_clear()
-    funcs.cantor_fn.cache_clear()
+    funcs._cantor_value.cache_clear()
     funcs.catalog.cache_clear()
     cov.instances.cache_clear()
 

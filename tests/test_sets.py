@@ -344,11 +344,11 @@ class TestWorkCounts:
         for name in counts:
             monkeypatch.setattr(F, name, _counted(getattr(F, name), counts, name))
         sets._locate_default.cache_clear()
-        funcs.cantor_fn.cache_clear()
+        funcs._cantor_value.cache_clear()
         yield counts
         monkeypatch.undo()
         sets._locate_default.cache_clear()
-        funcs.cantor_fn.cache_clear()
+        funcs._cantor_value.cache_clear()
 
     @staticmethod
     def _arithmetic(counts):
@@ -365,17 +365,19 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("x, value", [(F(1, 4), F(1, 3)), (F(1, 2), F(1, 2))])
     def test_cantor_fn_walk(self, counts, x, value):
-        # the memo hashes its key once; the walk hashes nothing, and the
-        # value is built from integers, with no Fraction arithmetic at all
+        # the memo is keyed on (numerator, denominator) and the walk hashes
+        # nothing; the value is built from integers, with no Fraction
+        # arithmetic at all
         assert funcs.cantor_fn(x) == value
-        assert counts["__hash__"] == 1
+        assert counts["__hash__"] == 0
         assert self._arithmetic(counts) == 0
 
     def test_memoised_member_hashes_the_point_only(self, counts):
-        # the memo key is (kind, point, cap): the base interval, which the
-        # kind fixes, is not hashed on each lookup
+        # the memo key is (kind, numerator, denominator, cap): neither the
+        # base interval, which the kind fixes, nor the point is hashed as a
+        # Fraction on each lookup
         x = F(1, 4)
         assert member(C, x)
         counts["__hash__"] = 0
         assert member(C, x)
-        assert counts["__hash__"] == 1
+        assert counts["__hash__"] == 0

@@ -382,3 +382,35 @@ class TestImageMeasureBound:
     def test_missing_certificate(self):
         with pytest.raises(UnsupportedInstanceError):
             image_measure_bound(lookup("svc_dist"), C, 2)
+
+
+class TestOneShotInputs:
+    """A set E or a schedule given as a one-shot iterable (a generator) is
+    read once per call, so it gives the report of the list it yields."""
+
+    def test_generator_set_gives_the_list_report(self):
+        f = lookup("linear")
+        points = [F(k, 64) for k in range(65)]
+        sched = (F(1, 10), F(1, 10))
+
+        def run(E):
+            return test_negligible_variation(
+                f, E, lambda eps: constant_gauge(F(1, 8)), sched, seed=3,
+                domain=Iv(0, 1),
+            ).payload()
+
+        listed = run(points)
+        assert [r["max_abs_sum"]["value"] for r in listed["rows"]] == ["1/1", "1/1"]
+        assert run(p for p in points) == listed
+
+    def test_generator_schedule_gives_the_tuple_report(self):
+        grid = [Iv(-1, 0), Iv(0, 1)]
+        sched = (F(1, 10), F(1, 100))
+
+        def run(schedule):
+            return subinterval_ncv_scan(
+                CAB, D, lambda eps: gauge_dist_complement(D), grid, schedule,
+                samples=2, seed=0, set_name="D",
+            ).payload()
+
+        assert run(e for e in sched) == run(sched)

@@ -150,6 +150,12 @@ def _same(a, b):
     assert repr(a) == repr(b)
 
 
+def uncached_cantor_fn(x):
+    """``funcs.cantor_fn`` on a cold memo, so that the walk runs."""
+    funcs._cantor_value.cache_clear()
+    return funcs.cantor_fn(x)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -185,7 +191,7 @@ class TestTernaryWalk:
     @settings(max_examples=600, deadline=None)
     @given(cantor_points)
     def test_cantor_fn_matches_reference(self, x):
-        _same(funcs.cantor_fn.__wrapped__(x), reference_cantor_fn(x))
+        _same(uncached_cantor_fn(x), reference_cantor_fn(x))
 
     def test_edges(self):
         for x in (F(0), F(1), F(-1), F(1, 3), F(2, 3), F(-1, 3), F(1, 2), F(-1, 2),
@@ -193,9 +199,9 @@ class TestTernaryWalk:
             _same(sets._locate(sets.REFLECTED_CANTOR, x, 200),
                   reference_locate(sets.REFLECTED_CANTOR, x, 200))
             if x >= 0:
-                _same(funcs.cantor_fn.__wrapped__(x), reference_cantor_fn(x))
+                _same(uncached_cantor_fn(x), reference_cantor_fn(x))
         for x in (F(-1, 2), F(3, 2)):
-            assert _outcome(funcs.cantor_fn.__wrapped__, x) == _outcome(reference_cantor_fn, x)
+            assert _outcome(uncached_cantor_fn, x) == _outcome(reference_cantor_fn, x)
 
 
 class TestFatCantorWalk:
@@ -245,7 +251,7 @@ JOBS = (
 )
 
 
-CANTOR_FN = funcs.cantor_fn
+CANTOR_VALUE = funcs._cantor_value  # the memo behind funcs.cantor_fn
 
 
 def _run_jobs(directory, capsys):
@@ -255,13 +261,13 @@ def _run_jobs(directory, capsys):
     try:
         for argv in JOBS:
             sets._locate_default.cache_clear()
-            CANTOR_FN.cache_clear()
+            CANTOR_VALUE.cache_clear()
             code = cli.main(list(argv))
             runs.append((code, *capsys.readouterr()))
     finally:
         os.chdir(cwd)
         sets._locate_default.cache_clear()
-        CANTOR_FN.cache_clear()
+        CANTOR_VALUE.cache_clear()
     return runs
 
 
@@ -269,7 +275,10 @@ def test_cli_reports_match_reference_walks(tmp_path, monkeypatch, capsys):
     (tmp_path / "int").mkdir()
     (tmp_path / "ref").mkdir()
     runs = _run_jobs(tmp_path / "int", capsys)
-    monkeypatch.setattr(sets, "_locate", reference_locate)
+    # the memoised locate and the locate under an explicit cap both classify
+    # through sets._classify, on the point's numerator and denominator
+    monkeypatch.setattr(sets, "_classify",
+                        lambda kind, p, q, cap: reference_locate(kind, F(p, q), cap))
     monkeypatch.setattr(sets, "svc_stage_interval", reference_svc_stage_interval)
     monkeypatch.setattr(funcs, "cantor_fn", reference_cantor_fn)
     ref_runs = _run_jobs(tmp_path / "ref", capsys)
