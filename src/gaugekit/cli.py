@@ -19,7 +19,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import cov as covmod
 from . import funcs, sets, variation
 from .core import (
     Gauge,
@@ -243,6 +242,8 @@ def _interval_from(args, default: Iv) -> Iv:
 
 
 def cmd_cov(args) -> int:
+    from . import cov as covmod
+
     try:
         inst = covmod.lookup_instance(args.instance)
     except KeyError as exc:
@@ -271,6 +272,8 @@ def cmd_cov(args) -> int:
 
 
 def cmd_ftc(args) -> int:
+    from . import cov as covmod
+
     g = _lookup_fn(args.fn)
     a, b = rat(args.domain[0]), rat(args.domain[1])
     schedule = _parse_eps_list(args.eps)
@@ -294,6 +297,8 @@ def cmd_ftc(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import cov as covmod
+
     try:
         inst = covmod.lookup_instance(args.instance)
     except KeyError as exc:
@@ -319,6 +324,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from . import cov as covmod
+
     if not args.svc:
         raise ValueError("only the --svc counterexample is available")
     depth = args.endpoint_depth
@@ -348,32 +355,28 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="gaugekit",
-        description="gauge-integration laboratory (exact rational arithmetic)",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _add_common(sp, seed_required=True):
+    sp.add_argument("--eps", nargs="*", help="epsilon schedule (floats)")
+    sp.add_argument("--samples", type=int, default=5)
+    sp.add_argument("--seed", type=int, required=seed_required)
+    sp.add_argument("--out")
 
-    def add_common(sp, seed_required=True):
-        sp.add_argument("--eps", nargs="*", help="epsilon schedule (floats)")
-        sp.add_argument("--samples", type=int, default=5)
-        sp.add_argument("--seed", type=int, required=seed_required)
-        sp.add_argument("--out")
 
-    sp = sub.add_parser("catalog", help="list registered functions")
+def _args_catalog(sp):
     sp.add_argument("--out")
     sp.set_defaults(fn_impl=cmd_catalog)
 
-    sp = sub.add_parser("integrate", help="sampled gauge-integral estimate")
+
+def _args_integrate(sp):
     sp.add_argument("--fn", required=True)
     sp.add_argument("--domain", nargs=2, required=True, metavar=("A", "B"))
     sp.add_argument("--gauge", help="const:R | dist:C|D|S | min:SPEC+SPEC")
     sp.add_argument("--tol", help="spread tolerance (float)")
-    add_common(sp)
+    _add_common(sp)
     sp.set_defaults(fn_impl=cmd_integrate)
 
-    sp = sub.add_parser("partition", help="build one subordinate partition")
+
+def _args_partition(sp):
     sp.add_argument("--domain", nargs=2, required=True, metavar=("A", "B"))
     sp.add_argument("--gauge", required=True)
     sp.add_argument("--fn")
@@ -381,36 +384,41 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(fn_impl=cmd_partition)
 
-    sp = sub.add_parser("variation", help="negligible-variation testing")
+
+def _args_variation(sp):
     sp.add_argument("--fn", required=True)
     sp.add_argument("--set", required=True, help="C | D | S | empty | points:..")
     sp.add_argument("--domain", nargs=2, required=True, metavar=("A", "B"))
     sp.add_argument("--mode", choices=("nv", "ncv"), default="nv")
     sp.add_argument("--gauge")
     sp.add_argument("--adversary", help="split:P1,P2 | greedy | percell")
-    add_common(sp)
+    _add_common(sp)
     sp.set_defaults(fn_impl=cmd_variation)
 
-    sp = sub.add_parser("cov", help="substitution identity on one interval")
+
+def _args_cov(sp):
     sp.add_argument("--instance", required=True)
     sp.add_argument("--interval", nargs=2, metavar=("A", "B"))
-    add_common(sp)
+    _add_common(sp)
     sp.set_defaults(fn_impl=cmd_cov)
 
-    sp = sub.add_parser("ftc", help="fundamental-theorem check for one function")
+
+def _args_ftc(sp):
     sp.add_argument("--fn", required=True)
     sp.add_argument("--domain", nargs=2, required=True, metavar=("A", "B"))
     sp.add_argument("--expect", choices=("holds", "fails"))
-    add_common(sp)
+    _add_common(sp)
     sp.set_defaults(fn_impl=cmd_ftc)
 
-    sp = sub.add_parser("scan", help="per-subinterval verdicts for an instance")
+
+def _args_scan(sp):
     sp.add_argument("--instance", required=True)
     sp.add_argument("--grid", nargs="*", help="flat list of endpoints, in pairs")
-    add_common(sp)
+    _add_common(sp)
     sp.set_defaults(fn_impl=cmd_scan)
 
-    sp = sub.add_parser("counterexample", help="composition blowup check")
+
+def _args_counterexample(sp):
     sp.add_argument("--svc", action="store_true")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--x-index", type=int, default=0)
@@ -421,6 +429,59 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(fn_impl=cmd_counterexample)
 
+
+# (name, help, adds the subcommand's arguments)
+SUBCOMMANDS = (
+    ("catalog", "list registered functions", _args_catalog),
+    ("integrate", "sampled gauge-integral estimate", _args_integrate),
+    ("partition", "build one subordinate partition", _args_partition),
+    ("variation", "negligible-variation testing", _args_variation),
+    ("cov", "substitution identity on one interval", _args_cov),
+    ("ftc", "fundamental-theorem check for one function", _args_ftc),
+    ("scan", "per-subinterval verdicts for an instance", _args_scan),
+    ("counterexample", "composition blowup check", _args_counterexample),
+)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers built only when their subcommand is chosen.
+
+    A run parses one subcommand, so only its parser and arguments are
+    built: each parser looks up three translated strings, and each parser
+    and ``add_argument`` makes a help formatter that asks for the terminal
+    size. Top-level help and usage read only the subcommand names and help
+    strings, which are all listed from the start.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_args = {}  # subcommand -> adds its arguments, until built
+
+    def add_lazy(self, name, help_text, add_args):
+        self._name_parser_map[name] = None
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help_text))
+        self._add_args[name] = add_args
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        add_args = self._add_args.pop(name, None)
+        if add_args is not None:
+            sp = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            add_args(sp)
+            self._name_parser_map[name] = sp
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``gaugekit`` parser. A subcommand's parser is built when
+    ``parse_args`` reaches it."""
+    p = argparse.ArgumentParser(
+        prog="gaugekit",
+        description="gauge-integration laboratory (exact rational arithmetic)",
+    )
+    sub = p.add_subparsers(dest="command", required=True, action=_Subcommands)
+    for name, help_text, add_args in SUBCOMMANDS:
+        sub.add_lazy(name, help_text, add_args)
     return p
 
 

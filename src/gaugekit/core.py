@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from ._record import frozen_delattr, frozen_setattr, record
 from .errors import (
     DepthExhaustedError,
     GaugeKitError,
@@ -52,25 +52,43 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True, slots=True)
 class Iv:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints.
 
-    lo: Fraction
-    hi: Fraction
+    A frozen record written by hand: the builder makes thousands per job.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("lo", "hi")
+    __match_args__ = __record_fields__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
         # the builder passes Fractions already; wrapping them again would
         # allocate a copy of each endpoint
-        lo, hi = self.lo, self.hi
         if lo.__class__ is not Fraction:
             lo = Fraction(lo)
-            object.__setattr__(self, "lo", lo)
         if hi.__class__ is not Fraction:
             hi = Fraction(hi)
-            object.__setattr__(self, "hi", hi)
         if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.lo, self.hi))
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
 
     @property
     def length(self) -> Fraction:
@@ -109,39 +127,61 @@ class Iv:
 
 
 _new_object = object.__new__
-_set_slot = object.__setattr__
+_set_lo = Iv.lo.__set__
+_set_hi = Iv.hi.__set__
 
 
 def _ordered_iv(lo: Fraction, hi: Fraction) -> Iv:
     """An Iv of two Fractions already known to be in order, without the
-    coercion and order check of ``Iv.__post_init__``: the bisection's halves."""
+    coercion and order check of ``Iv.__init__``: the bisection's halves."""
     iv = _new_object(Iv)
-    _set_slot(iv, "lo", lo)
-    _set_slot(iv, "hi", hi)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
     return iv
 
 
-@dataclass(frozen=True, slots=True)
 class ValueWithError:
     """A value plus a certified worst-case absolute error bound.
 
     ``err == 0`` means the value is exact. ``convention`` marks values that
     are 0 by the almost-everywhere convention rather than by evaluation.
+    A frozen record written by hand, like ``Iv``.
     """
 
-    value: Fraction
-    err: Fraction = ZERO
-    convention: bool = False
+    __slots__ = ("value", "err", "convention")
+    __match_args__ = __record_fields__ = ("value", "err", "convention")
 
-    def __post_init__(self):
-        if self.value.__class__ is not Fraction:
-            object.__setattr__(self, "value", Fraction(self.value))
-        err = self.err
+    def __init__(self, value, err=ZERO, convention=False):
+        if value.__class__ is not Fraction:
+            value = Fraction(value)
         if err.__class__ is not Fraction:
             err = Fraction(err)
-            object.__setattr__(self, "err", err)
         if err.numerator < 0:
             raise ValueError("error bound must be nonnegative")
+        _set_value(self, value)
+        _set_err(self, err)
+        _set_convention(self, convention)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.err, self.convention) == (
+            other.value, other.err, other.convention)
+
+    def __hash__(self):
+        return hash((self.value, self.err, self.convention))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(value={self.value!r}, "
+            f"err={self.err!r}, convention={self.convention!r})"
+        )
+
+    def __reduce__(self):
+        return (self.__class__, (self.value, self.err, self.convention))
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
 
     @property
     def exact(self) -> bool:
@@ -164,6 +204,10 @@ class ValueWithError:
         return {"value": rat_str(self.value), "err": rat_str(self.err)}
 
 
+_set_value = ValueWithError.value.__set__
+_set_err = ValueWithError.err.__set__
+_set_convention = ValueWithError.convention.__set__
+
 VWE = ValueWithError
 
 
@@ -174,7 +218,7 @@ class Item(NamedTuple):
     cell: Iv
 
 
-@dataclass(frozen=True)
+@record
 class TaggedPartition:
     """A finite tagged cover of ``domain`` by closed cells, sorted by cell.
 
@@ -207,7 +251,7 @@ class Violation(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     violations: tuple
@@ -271,7 +315,7 @@ def validate_partition(p: TaggedPartition) -> ValidationReport:
     return ValidationReport(not issues, tuple(issues))
 
 
-@dataclass(frozen=True)
+@record
 class Gauge:
     """A strictly positive radius function with a tag suggestion oracle.
 
@@ -799,7 +843,7 @@ def merge_partitions(parts: Sequence[TaggedPartition]) -> TaggedPartition:
     return TaggedPartition.of(items, domain)
 
 
-@dataclass(frozen=True)
+@record
 class HkRow:
     eps: Fraction
     sums: tuple  # of ValueWithError
@@ -813,7 +857,7 @@ class HkRow:
         }
 
 
-@dataclass(frozen=True)
+@record
 class HkReport:
     """Sampled Riemann sums per epsilon. Evidence, never a proof: only
     finitely many subordinate partitions are ever examined."""

@@ -14,12 +14,12 @@ agree instance by instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import sets
+from ._record import record
 from .core import (
     Gauge,
     Iv,
@@ -60,7 +60,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class CovInstance:
     """A substitution-identity test case with declared analytic side data.
 
@@ -170,7 +170,7 @@ def integrand_with_convention(inst: CovInstance) -> FnSpec:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CovRow:
     eps: Fraction
     sums: tuple
@@ -186,7 +186,7 @@ class CovRow:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CovReport:
     instance: str
     interval: Iv
@@ -336,7 +336,7 @@ def ftc_check(
     return cov_check(ftc_instance(g), interval, schedule, samples, seed)
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     instance: str
     cells: tuple  # (Iv, CovReport)
@@ -436,7 +436,7 @@ def cov_scan_all_subintervals(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SvcCompositionCheck:
     n: int
     x: Fraction

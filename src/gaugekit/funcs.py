@@ -11,12 +11,12 @@ checkable by sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import sets
+from ._record import record
 from .core import Iv, ValueWithError, rat_str
 from .errors import DomainError, UnsupportedInstanceError
 
@@ -207,7 +207,7 @@ def nearest_set_points(s: sets.GeneratedSet, iv: Iv) -> Tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FnSpec:
     """A catalog function with exact/approximate evaluation and side data.
 

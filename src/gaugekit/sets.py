@@ -16,11 +16,11 @@ ambiguous at the depth cap raises UndecidedError with certified bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
+from ._record import record
 from .core import Iv
 from .errors import DomainError, UndecidedError
 
@@ -44,7 +44,7 @@ def set_depth_cap(n: int) -> None:
     DEPTH_CAP_DEFAULT = int(n)
 
 
-@dataclass(frozen=True)
+@record
 class GeneratedSet:
     kind: str
     base: Iv
@@ -65,7 +65,7 @@ def svc() -> GeneratedSet:
     return GeneratedSet(SVC, Iv(0, 1))
 
 
-@dataclass(frozen=True)
+@record
 class ComponentRef:
     """A maximal open interval of the complement, with its creation depth."""
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import sets
+from ._record import record
 from .core import (
     Gauge,
     Iv,
@@ -287,7 +287,7 @@ def _dyadic_inside(iv: Iv) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VariationRow:
     eps: Fraction
     gauge_name: str
@@ -309,7 +309,7 @@ class VariationRow:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     partition: TaggedPartition
     gauge_name: str
@@ -318,7 +318,7 @@ class Witness:
     signed_sum: ValueWithError
 
 
-@dataclass(frozen=True)
+@record
 class VariationReport:
     fn_name: str
     set_name: str
@@ -492,7 +492,7 @@ test_negligible_variation.__test__ = False
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SplitAt:
     """Partition the domain at the given points, then build each piece."""
 
@@ -504,19 +504,19 @@ class SplitAt:
         )
 
 
-@dataclass(frozen=True)
+@record
 class GreedySign:
     """Keep the cells whose increment has the chosen sign, re-partition the
     rest; the recombined cover isolates one sign class in the tagged sum."""
 
 
-@dataclass(frozen=True)
+@record
 class PerCell:
     """Re-partition every cell, keeping whichever local layout contributes
     the larger absolute sum."""
 
 
-@dataclass(frozen=True)
+@record
 class AdversarialResult:
     best_abs: ValueWithError
     best_signed: ValueWithError
@@ -612,7 +612,7 @@ def adversarial_variation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NcvScanReport:
     fn_name: str
     set_name: str
@@ -678,7 +678,7 @@ def subinterval_ncv_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DiniEstimate:
     value: ValueWithError
     used: tuple

@@ -1,6 +1,6 @@
 """Rewrite the golden report corpus under ``tests/golden/``.
 
-    PYTHONPATH=src python3 tests/golden/regenerate.py
+    PYTHONPATH=src python3 tests/golden/regenerate.py [CASE ...]
 
 Runs each command of ``COMMANDS`` in-process through ``gaugekit.cli.main``,
 in its own empty temporary directory, and records it in ``<case>/``:
@@ -23,9 +23,11 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 VERBATIM_MAX = 16 * 1024
+COLUMNS = "80"
 
 _JOB_FTC = ("ftc", "--fn", "square", "--domain", "-1", "1", "--eps", "1e-3",
             "--expect", "holds", "--out", "ftc.json", "--seed")
@@ -72,12 +74,17 @@ COMMANDS = (
     ("exit3-depth", ("partition", "--domain", "0", "1", "--gauge",
                      "const:1/1180591620717411303424")),
     ("exit4-undecided", ("partition", "--domain", "1/3", "1", "--gauge", "dist:S")),
+    # argparse's own output: help, and a usage error (exit 2)
+    ("help", ("--help",)),
+    ("help-variation", ("variation", "--help")),
+    ("exit2-usage", ("variation", "--fn", "cantor", "--domain", "0", "1")),
 )
 
 
 def run(argv) -> dict:
     """Run one command in a fresh temporary directory; return its argv,
-    exit code, stdout, stderr and written files (name -> bytes)."""
+    exit code, stdout, stderr and written files (name -> bytes). An
+    argparse exit (help, usage error) counts as the command's exit."""
     from gaugekit import cli
 
     cwd = os.getcwd()
@@ -85,8 +92,12 @@ def run(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     try:
         os.chdir(work)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
+        with mock.patch.dict(os.environ, COLUMNS=COLUMNS), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
         files = {p.name: p.read_bytes() for p in sorted(Path(work).iterdir())}
     finally:
         os.chdir(cwd)
@@ -99,12 +110,18 @@ def digest(data: bytes) -> dict:
     return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
 
 
-def main() -> int:
+def main(names) -> int:
     os.environ.pop("GAUGEKIT_DEPTH_CAP", None)
+    known = {name for name, _ in COMMANDS}
+    if not set(names) <= known:
+        print(f"unknown cases: {sorted(set(names) - known)}", file=sys.stderr)
+        return 2
     for old in HERE.iterdir():
-        if old.is_dir():
+        if old.is_dir() and (not names or old.name in names):
             shutil.rmtree(old)
     for name, argv in COMMANDS:
+        if names and name not in names:
+            continue
         got = run(argv)
         case = HERE / name
         case.mkdir()
@@ -122,4 +139,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from gaugekit import Iv, cov, sets
+from gaugekit._record import replace
 from gaugekit.core import Gauge, cousin_partition
 from gaugekit.cov import (
     cov_check,
@@ -86,10 +87,8 @@ class TestCovCheck:
     def test_sampled_lhs_matches_closed_form(self):
         # same instance with the antiderivative withheld: the left side is
         # estimated by sampling f between the mapped endpoints instead
-        import dataclasses
-
         closed = lookup_instance("cantorabs-unit")
-        sampled = dataclasses.replace(closed, name="cantorabs-sampled", F=None)
+        sampled = replace(closed, name="cantorabs-sampled", F=None)
         for iv in (Iv(0, 1), Iv(-1, 0), Iv(-1, 1)):
             a = cov_check(closed, iv, SCHED, samples=3, seed=11)
             b = cov_check(sampled, iv, SCHED, samples=3, seed=11)
@@ -102,28 +101,22 @@ class TestCovCheck:
     def test_sampled_lhs_orientation(self):
         # on [-1, 0] the mapped endpoints reverse (g(-1)=1 > g(0)=0), so the
         # sampled estimate must come out negated
-        import dataclasses
-
-        inst = dataclasses.replace(
-            lookup_instance("cantorabs-unit"), name="rev", F=None
-        )
+        inst = replace(lookup_instance("cantorabs-unit"), name="rev", F=None)
         rep = cov_check(inst, Iv(-1, 0), SCHED, samples=3, seed=12)
         assert rep.lhs.value == -1
 
     def test_depth_cap_reaches_every_channel(self):
         # B = {1/3} with radius 2^-70 there: its cell needs ~70 bisections,
         # past the default cap of 64, in the Riemann and the NCV channel
-        import dataclasses
-
         from gaugekit import constant_gauge
         from gaugekit.errors import DepthExhaustedError
         from gaugekit.funcs import FiniteFailureSet
 
         p = F(1, 3)
         base = lookup_instance("identity-sub")
-        fog = dataclasses.replace(base.fog, modulus=lambda x, eps: abs(x - p) / 2)
+        fog = replace(base.fog, modulus=lambda x, eps: abs(x - p) / 2)
         tiny = constant_gauge(F(1, 2**70))
-        inst = dataclasses.replace(
+        inst = replace(
             base, name="deep", B=FiniteFailureSet((p,)), fog=fog,
             ncv_gauge=lambda eps: tiny,
         )
@@ -134,7 +127,7 @@ class TestCovCheck:
             cov_check(inst, schedule=(F(1, 10),), samples=2)
         # the sampled left side honours the cap too: it runs first and its
         # constant gauge of 1/10 needs depth 3 on [0, 1]
-        sampled = dataclasses.replace(inst, F=None)
+        sampled = replace(inst, F=None)
         with pytest.raises(DepthExhaustedError, match=r"const\(1/10\)"):
             cov_check(sampled, schedule=(F(1, 10),), samples=2, max_depth=2)
 
@@ -300,9 +293,7 @@ class TestOneShotSchedule:
     cell, both sides of a sampled check and every set see all of it."""
 
     def test_sampled_check_reads_the_whole_schedule(self):
-        import dataclasses
-
-        inst = dataclasses.replace(lookup_instance("cantorabs-unit"), name="s", F=None)
+        inst = replace(lookup_instance("cantorabs-unit"), name="s", F=None)
         new = cov_check(inst, Iv(0, 1), (e for e in SCHED), samples=2, seed=5)
         assert new.payload() == cov_check(inst, Iv(0, 1), SCHED, samples=2, seed=5).payload()
         assert len(new.rows) == len(SCHED)

@@ -11,7 +11,6 @@ for byte with every reference patched back in, and work-count guards pin
 down the work that is no longer done.
 """
 
-import dataclasses
 import os
 import random
 from fractions import Fraction as F
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 
 import gaugekit
 from gaugekit import cli, core, cov, funcs, sets, variation
+from gaugekit._record import replace
 from gaugekit.core import Gauge, Iv, ValueWithError, constant_gauge
 from gaugekit.errors import (
     DomainError,
@@ -46,26 +46,31 @@ ONE = F(1)
 # ---------------------------------------------------------------------------
 
 
-def reference_iv_post_init(self):
-    if not isinstance(self.lo, F):
-        object.__setattr__(self, "lo", F(self.lo))
-    if not isinstance(self.hi, F):
-        object.__setattr__(self, "hi", F(self.hi))
-    if self.lo > self.hi:
-        raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+def reference_iv_init(self, lo, hi):
+    if not isinstance(lo, F):
+        lo = F(lo)
+    if not isinstance(hi, F):
+        hi = F(hi)
+    if lo > hi:
+        raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+    object.__setattr__(self, "lo", lo)
+    object.__setattr__(self, "hi", hi)
 
 
 def reference_iv_contains(self, x):
     return self.lo <= x <= self.hi
 
 
-def reference_vwe_post_init(self):
-    if not isinstance(self.value, F):
-        object.__setattr__(self, "value", F(self.value))
-    if not isinstance(self.err, F):
-        object.__setattr__(self, "err", F(self.err))
-    if self.err < 0:
+def reference_vwe_init(self, value, err=ZERO, convention=False):
+    if not isinstance(value, F):
+        value = F(value)
+    if not isinstance(err, F):
+        err = F(err)
+    if err < 0:
         raise ValueError("error bound must be nonnegative")
+    object.__setattr__(self, "value", value)
+    object.__setattr__(self, "err", err)
+    object.__setattr__(self, "convention", convention)
 
 
 def reference_radius_at(self, x):
@@ -156,7 +161,7 @@ def reference_square_fn(domain, name="square"):
     def modulus(x, eps):
         return F(eps) / width
 
-    return dataclasses.replace(_SQUARE_FN(domain, name), modulus=modulus)
+    return replace(_SQUARE_FN(domain, name), modulus=modulus)
 
 
 def reference_member(s, x, depth_cap=None):
@@ -473,15 +478,11 @@ numbers = st.one_of(
 
 
 class _ReferenceIv:
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-        reference_iv_post_init(self)
+    __init__ = reference_iv_init
 
 
 class _ReferenceVwe:
-    def __init__(self, value, err, convention):
-        self.value, self.err, self.convention = value, err, convention
-        reference_vwe_post_init(self)
+    __init__ = reference_vwe_init
 
 
 class TestValueTypes:
@@ -719,9 +720,9 @@ def test_cli_outputs_match_reference_path(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("GAUGEKIT_DEPTH_CAP", raising=False)
     runs = _run_jobs(tmp_path / "new", capsys)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Iv, "__post_init__", reference_iv_post_init)
+        mp.setattr(Iv, "__init__", reference_iv_init)
         mp.setattr(Iv, "__contains__", reference_iv_contains)
-        mp.setattr(ValueWithError, "__post_init__", reference_vwe_post_init)
+        mp.setattr(ValueWithError, "__init__", reference_vwe_init)
         mp.setattr(Gauge, "radius_at", reference_radius_at)
         mp.setattr(GeneratedFailureSet, "__contains__", reference_generated_contains)
         mp.setattr(FiniteFailureSet, "__contains__", reference_finite_contains)
