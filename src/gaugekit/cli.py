@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import funcs, sets, variation
+from . import funcs, sets
 from .core import (
     Gauge,
     Iv,
@@ -89,6 +89,8 @@ def _parse_gauge(spec: str) -> Gauge:
         s, _ = _parse_set(spec[len("dist:"):])
         if not isinstance(s, sets.GeneratedSet):
             raise ValueError("dist: gauge needs a generated set")
+        from . import variation
+
         return variation.gauge_dist_complement(s)
     if spec.startswith("min:"):
         left, right = spec[len("min:"):].split("+")
@@ -100,6 +102,8 @@ def _gauge_builder(args, set_obj):
     if getattr(args, "gauge", None):
         g = _parse_gauge(args.gauge)
     else:
+        from . import variation
+
         g = variation.default_gauge(set_obj)
     return lambda eps: g
 
@@ -173,6 +177,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_variation(args) -> int:
+    from . import variation
+
     f = _lookup_fn(args.fn)
     set_obj, set_name = _parse_set(args.set)
     a, b = rat(args.domain[0]), rat(args.domain[1])
@@ -225,6 +231,8 @@ def cmd_variation(args) -> int:
 
 
 def _parse_strategy(spec: str):
+    from . import variation
+
     if spec.startswith("split:"):
         pts = tuple(rat(p) for p in spec[len("split:"):].split(","))
         return variation.SplitAt(*pts)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import random
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._record import frozen_delattr, frozen_setattr, record
@@ -404,85 +405,99 @@ def is_subordinate(p: TaggedPartition, gauge: Gauge) -> bool:
 
 
 def riemann_sum(f, p: TaggedPartition) -> ValueWithError:
-    """Sum of f(tag) * |cell| with accumulated worst-case error bounds.
-
-    ``f`` is anything callable as ``f(x) -> ValueWithError`` (e.g. FnSpec).
-    Exact whenever every evaluation is exact.
-    """
+    """Sum of f(tag) * |cell| with accumulated worst-case error bounds, for
+    any ``f(x) -> ValueWithError`` (e.g. FnSpec); exact when every f(x) is."""
     return next(_riemann_sums(f, (p,)))[1]
 
 
 def _riemann_sums(f, parts):
-    """Yield ``(partition, riemann_sum(f, partition))`` for partitions
-    replayed from one tree, resumming only the cells whose tag changed."""
+    """``_product_sums`` of the one factor f(tag)."""
+    return _product_sums(lambda x: (f(x),), parts)
+
+
+def _product_sums(factors, parts):
+    """Yield ``(partition, Σ Π factors(tag)·|cell|)`` for partitions
+    replayed from one tree. ``factors(tag)`` is a tuple of ValueWithErrors,
+    or None where the term is 0 by convention. A cell's width is
+    (hn·ld − ln·hd)/(ld·hd) from its endpoints, and ``_scaled_product``
+    folds it into the term, so no term builds a Fraction."""
 
     def term(tag, cell):
-        v = f(tag)
-        w = cell.length
-        err = v.err
-        return (v.value * w, err * w if err else err)
+        fs = factors(tag)
+        if fs is None:
+            return None
+        lo, hi = cell.lo, cell.hi
+        ld, hd = lo.denominator, hi.denominator
+        vn, vd, en, ed = _scaled_product(fs, hi.numerator * ld - lo.numerator * hd, ld * hd)
+        return ((vn, vd), (en, ed))
 
     for part, (total, err) in _sample_sums(parts, term, 2):
         yield part, ValueWithError(total, err)
 
 
+def _scaled_product(factors, n: int = 1, d: int = 1):
+    """``(vn, vd, en, ed)``, not reduced: the product vn/vd of the values of
+    the ValueWithError ``factors`` and n/d >= 0, and its error bound en/ed,
+    (n/d)·(Π(|v| + e) − Π|v|). For two factors the bound is
+    (n/d)·(|a|·e_b + |b|·e_a + e_a·e_b), the farthest corner of the boxes;
+    it is 0 when every factor is exact."""
+    vn, vd, un, ud = n, d, n, d
+    for v in factors:
+        x, e = v.value, v.err
+        xn, xd, ed = x.numerator, x.denominator, e.denominator
+        vn *= xn
+        vd *= xd
+        un *= abs(xn) * ed + e.numerator * xd
+        ud *= xd * ed
+    return vn, vd, un * vd - abs(vn) * ud, ud * vd
+
+
 def _sample_sums(parts, term, width: int):
     """Yield ``(partition, totals)`` for partitions replayed from one tree.
 
-    ``term(tag, cell)`` is a tuple of ``width`` rationals, or None for a
-    zero term; ``totals[k]`` sums the k-th entries over the items. The
-    first partition is summed in full. Replays of one
-    :class:`PartitionTree` share their cell objects and differ only in the
-    tags of some cells, so each later partition starts from the previous
-    totals and, at each cell whose tag changed, subtracts the old tag's term
-    and adds the new one's. The arithmetic is exact, so the totals equal
-    full sums. A pure ``term`` raises the error a full sum would raise, at
-    the same tag: every unchanged tag's term was computed before without
-    error. Only the previous partition's tags are kept, and a partition
-    whose items are the previous one's (a closed tree) is not walked.
+    ``term(tag, cell)`` is a tuple of ``width`` pairs of ints (numerator,
+    positive denominator, not necessarily reduced), or None for a zero
+    term; ``totals[k]`` is the Fraction sum of the k-th entries over the
+    items. Each total adds numerators into a dict keyed by denominator,
+    with no gcd per term, and builds one Fraction per key; the terms of a
+    dyadic bisection have few distinct denominators. The first partition
+    is summed in full. Replays of one :class:`PartitionTree` share their
+    cell objects and differ only in the tags of some cells, so each later
+    partition starts from the previous numerators and, at each cell whose
+    tag changed, subtracts the old tag's term and adds the new one's: the
+    totals equal full sums. A pure ``term`` raises the error a full sum
+    would raise, at the same tag, since every unchanged tag's term was
+    computed before without error. Only the previous partition's tags are
+    kept, and a partition whose items are the previous one's (a closed
+    tree) is not walked.
     """
+    groups = [{} for _ in range(width)]
     tags = None
     prev = None
     for part in parts:
         items = part.items
         if items is prev:  # a closed tree's replay: the same partition
-            yield part, tuple(totals)
+            yield part, totals
             continue
         prev = items
-        if tags is None:
-            totals = _grouped_sums(items, term, width)
-        else:
-            for old, (tag, cell) in zip(tags, items):
-                if tag is old:  # a replayed tag is the candidate object itself
-                    continue
-                gone = term(old, cell)
-                new = term(tag, cell)
-                if gone is not None:
-                    totals = [s - v if v else s for s, v in zip(totals, gone)]
-                if new is not None:
-                    totals = [s + v if v else s for s, v in zip(totals, new)]
+        for old, (tag, cell) in zip(tags or repeat(None), items):
+            if tag is old:  # a replayed tag is the candidate object itself
+                continue
+            gone = None if old is None else term(old, cell)
+            new = term(tag, cell)
+            if gone is not None:
+                _add(groups, gone, -1)
+            if new is not None:
+                _add(groups, new, 1)
         tags = [tag for tag, _ in items]
-        yield part, tuple(totals)
+        totals = tuple(sum((Fraction(n, d) for d, n in g.items()), ZERO) for g in groups)
+        yield part, totals
 
 
-def _grouped_sums(items, term, width: int) -> list:
-    """The exact totals ``[Σ t[0], ..., Σ t[width - 1]]`` over the items'
-    non-None terms ``t = term(tag, cell)``.
-
-    Each total adds the numerators of its entries into a dict keyed by
-    their denominators and builds one Fraction per key at the end, so the
-    integer additions replace one gcd per term. Sums with few distinct
-    denominators gain most: the Cantor increments and the Riemann terms of
-    a dyadic bisection have powers of two.
-    """
-    groups = [{} for _ in range(width)]
-    for tag, cell in items:
-        t = term(tag, cell)
-        if t is not None:
-            for group, v in zip(groups, t):
-                d = v.denominator
-                group[d] = group.get(d, 0) + v.numerator
-    return [sum((Fraction(n, d) for d, n in group.items()), ZERO) for group in groups]
+def _add(groups, t, sign: int) -> None:
+    for group, (n, d) in zip(groups, t):
+        if n:
+            group[d] = group.get(d, 0) + sign * n
 
 
 def _order(n: int, rng: Optional[random.Random]):

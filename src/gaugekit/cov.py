@@ -26,7 +26,8 @@ from .core import (
     PartitionTree,
     TaggedPartition,
     ValueWithError,
-    _riemann_sums,
+    _product_sums,
+    _scaled_product,
     constant_gauge,
     hk_estimate,
     rat_str,
@@ -129,23 +130,26 @@ def proof_gauge(inst: CovInstance, eps) -> Gauge:
 
 
 def integrand_with_convention(inst: CovInstance) -> FnSpec:
-    """x ↦ f(g(x)) · h(x), h = g' off B and 0 on B.
+    """x ↦ f(g(x)) · h(x), h = g' off B and 0 on B."""
+    return _integrand(inst)[0]
 
-    Relies on the ``FnSpec`` boundary: the integrand's own
-    ``FnSpec.__call__`` coerces x to a ``Fraction`` and checks it against
-    the integrand's domain, which is g's. The body therefore evaluates g
-    and f without ``FnSpec.__call__``, which would coerce and check x
-    again. Every other check runs once, in this order: B, g's failure set
-    and missing derivative (``g.deriv_at``), f's domain at g(x) (the
-    ``DomainError`` of ``FnSpec.__call__``), then an inexact g(x).
+
+def _integrand(inst: CovInstance):
+    """The integrand as a FnSpec, and its factors x ↦ (f(g(x)), g'(x)), or
+    None on B, where it is 0 by convention. The factors check x against
+    the integrand's domain (g's), as the FnSpec's call does; its eval
+    multiplies them (``core._scaled_product``). One closure evaluates g and
+    f without ``FnSpec.__call__`` and checks, once each and in this order:
+    B, g's failure set and derivative (``g.deriv_at``), f's domain at g(x)
+    (the ``DomainError`` of ``FnSpec.__call__``), an inexact g(x).
     """
     B, f = inst.B, inst.f
     g_eval, g_deriv_at = inst.g.eval, inst.g.deriv_at
     f_eval, f_domain = f.eval, f.domain
 
-    def ev(x):
+    def factors(x):
         if x in B:
-            return ValueWithError(ZERO, ZERO, convention=True)
+            return None
         gp = g_deriv_at(x)
         gv = g_eval(x)
         u = gv.value
@@ -156,18 +160,29 @@ def integrand_with_convention(inst: CovInstance) -> FnSpec:
             raise UnsupportedInstanceError(
                 f"inexact inner value for {inst.name} integrand"
             )
-        if fv.err or gp.err:
-            err = abs(fv.value) * gp.err + abs(gp.value) * fv.err
-        else:
-            err = ZERO
-        return ValueWithError(fv.value * gp.value, err)
+        return fv, gp
 
-    return FnSpec(
+    def ev(x):
+        fs = factors(x)
+        if fs is None:
+            return ValueWithError(ZERO, ZERO, convention=True)
+        vn, vd, en, ed = _scaled_product(fs)
+        return ValueWithError(Fraction(vn, vd), Fraction(en, ed) if en else ZERO)
+
+    fgh = FnSpec(
         name=f"({inst.f.name}∘{inst.g.name})·h",
         domain=inst.g.domain,
         eval=ev,
         exact=inst.f.exact and inst.g.exact,
     )
+    domain, domain_error = fgh.domain, fgh.domain_error
+
+    def checked(x):
+        if x not in domain:
+            raise domain_error(x)
+        return factors(x)
+
+    return fgh, checked
 
 
 @record
@@ -255,7 +270,7 @@ def cov_check(
         mid = (max(vals) + min(vals)) / 2
         lhs = ValueWithError(mid, (max(vals) - min(vals)) / 2 + errs)
         lhs_channel = "sampled"
-    fgh = integrand_with_convention(inst)
+    factors = _integrand(inst)[1]
     master = random.Random(seed)
     ncv_master = random.Random(seed + 1)
     rows = []
@@ -272,7 +287,7 @@ def cov_check(
         worst = ZERO
         ok = True
         parts = sample_partitions(interval, gauge, samples, master, max_depth, tree)
-        for part, s in _riemann_sums(fgh, parts):
+        for part, s in _product_sums(factors, parts):
             sums.append(s)
             disc = abs(s.value - lhs.value)
             worst = max(worst, disc)
@@ -498,72 +513,37 @@ def svc_composition_check(n: int, x, prec=Fraction(1, 10**9)) -> SvcCompositionC
 @lru_cache(maxsize=1)
 def instances() -> dict:
     unit = Iv(0, 1)
-    sym = Iv(-1, 1)
 
-    square01 = square_fn(unit)
-    square_sub = CovInstance(
-        name="square-sub",
-        f=const_fn(1, unit),
-        F=identity_fn(unit),
-        g=square01,
-        domain=unit,
-        B=EMPTY_FAILURE,
-        fog=square01,
-        ncv_gauge=lambda eps: default_gauge(EMPTY_FAILURE),
-        expected_full="holds",
-        zero_deriv_set=FiniteFailureSet((ZERO,)),
-        null_sets=(("{0}", FiniteFailureSet((ZERO,))),),
-    )
+    def substitution(name, g, domain, B, **expected):
+        # f ≡ 1 with F the identity, F∘g = g, and B's default gauge on B
+        return CovInstance(
+            name=name, f=const_fn(1, unit), F=identity_fn(unit), g=g, domain=domain,
+            B=B, fog=g, ncv_gauge=lambda eps: default_gauge(B), **expected,
+        )
 
-    ident = identity_fn(unit)
-    identity_sub = CovInstance(
-        name="identity-sub",
-        f=const_fn(1, unit),
-        F=identity_fn(unit),
-        g=ident,
-        domain=unit,
-        B=EMPTY_FAILURE,
-        fog=ident,
-        ncv_gauge=lambda eps: default_gauge(EMPTY_FAILURE),
-        expected_full="holds",
-    )
-
-    cab = cantor_abs_spec()
     D = GeneratedFailureSet(sets.reflected_cantor())
-    cantorabs_unit = CovInstance(
-        name="cantorabs-unit",
-        f=const_fn(1, unit),
-        F=identity_fn(unit),
-        g=cab,
-        domain=sym,
-        B=D,
-        fog=cab,
-        ncv_gauge=lambda eps: default_gauge(D),
-        expected_full="holds",
-        expected_cells=((Iv(0, 1), "fails"), (Iv(-1, 0), "fails")),
-        zero_deriv_set=PredicateFailureSet(lambda x: x not in D, "[-1,1] minus D"),
-        null_sets=(("D", D),),
-    )
-
-    cfn = cantor_fn_spec()
     C = GeneratedFailureSet(sets.ternary_cantor())
-    cantor_unit = CovInstance(
-        name="cantor-unit",
-        f=const_fn(1, unit),
-        F=identity_fn(unit),
-        g=cfn,
-        domain=unit,
-        B=C,
-        fog=cfn,
-        ncv_gauge=lambda eps: default_gauge(C),
-        expected_full="fails",
-        zero_deriv_set=PredicateFailureSet(lambda x: x not in C, "[0,1] minus C"),
-        null_sets=(("C", C),),
-    )
-
     return {
         i.name: i
-        for i in (square_sub, identity_sub, cantorabs_unit, cantor_unit)
+        for i in (
+            substitution(
+                "square-sub", square_fn(unit), unit, EMPTY_FAILURE,
+                zero_deriv_set=FiniteFailureSet((ZERO,)),
+                null_sets=(("{0}", FiniteFailureSet((ZERO,))),),
+            ),
+            substitution("identity-sub", identity_fn(unit), unit, EMPTY_FAILURE),
+            substitution(
+                "cantorabs-unit", cantor_abs_spec(), Iv(-1, 1), D,
+                expected_cells=((Iv(0, 1), "fails"), (Iv(-1, 0), "fails")),
+                zero_deriv_set=PredicateFailureSet(lambda x: x not in D, "[-1,1] minus D"),
+                null_sets=(("D", D),),
+            ),
+            substitution(
+                "cantor-unit", cantor_fn_spec(), unit, C, expected_full="fails",
+                zero_deriv_set=PredicateFailureSet(lambda x: x not in C, "[0,1] minus C"),
+                null_sets=(("C", C),),
+            ),
+        )
     }
 
 

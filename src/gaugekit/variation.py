@@ -50,16 +50,20 @@ def variation_sums(f, p: TaggedPartition, E) -> Tuple[ValueWithError, ValueWithE
 
 def _variation_sums(f, S, parts):
     """Yield ``(partition, variation_sums(f, partition, S))`` for partitions
-    replayed from one tree, resumming only the cells whose tag changed."""
+    replayed from one tree, resumming only the cells whose tag changed.
+    Each increment is one unreduced numerator and denominator."""
 
     def term(tag, cell):
         if tag not in S:
             return None
         hi = f(cell.hi)
         lo = f(cell.lo)
-        delta = hi.value - lo.value
-        err = hi.err + lo.err if hi.err or lo.err else ZERO
-        return (abs(delta), err, delta)
+        a, b, ea, eb = hi.value, lo.value, hi.err, lo.err
+        dn = a.numerator * b.denominator - b.numerator * a.denominator
+        dd = a.denominator * b.denominator
+        err = (ea.numerator * eb.denominator + eb.numerator * ea.denominator,
+               ea.denominator * eb.denominator)
+        return ((abs(dn), dd), err, (dn, dd))
 
     for part, (abs_total, abs_err, signed_total) in _sample_sums(parts, term, 3):
         yield part, (

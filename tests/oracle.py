@@ -2,15 +2,18 @@
 
 Each function is the straightforward version of a fast path in gaugekit,
 written for clarity, not speed: memo keys are the Fraction points
-themselves, tests compare Fractions, and sums add Fractions one by one.
-``tests/test_oracle.py`` compares every fast path with its reference here.
+themselves, tests compare Fractions, and sums add Fraction terms one by
+one, each term a Fraction product with the cell's ``length``. The tests
+compare every fast path with its reference here.
 """
 
 from fractions import Fraction as F
 from functools import lru_cache
 
 from gaugekit import sets
+from gaugekit.core import ValueWithError
 from gaugekit.errors import DomainError
+from gaugekit.funcs import point_set
 
 ZERO = F(0)
 ONE = F(1)
@@ -72,13 +75,83 @@ def suggestions(gauge, iv):
 
 
 def running_sums(items, term, width):
-    """Σ of the non-None ``term(tag, cell)`` tuples, one Fraction at a time."""
+    """Σ of the non-None ``term(tag, cell)`` tuples of ``(numerator,
+    denominator)`` pairs, one Fraction at a time."""
     totals = [ZERO] * width
     for tag, cell in items:
         t = term(tag, cell)
         if t is not None:
-            totals = [s + v for s, v in zip(totals, t)]
+            totals = [s + F(n, d) for s, (n, d) in zip(totals, t)]
     return totals
+
+
+def sample_sums(parts, term, width):
+    """``core._sample_sums``: every partition summed in full."""
+    for part in parts:
+        yield part, tuple(running_sums(part.items, term, width))
+
+
+def riemann_sum(f, p):
+    """Σ f(tag)·|cell| and Σ err(tag)·|cell|, one Fraction term at a time."""
+    total = err = ZERO
+    for tag, cell in p.items:
+        v = f(tag)
+        w = cell.length
+        total += v.value * w
+        err += v.err * w
+    return ValueWithError(total, err)
+
+
+def riemann_sums(f, parts):
+    for part in parts:
+        yield part, riemann_sum(f, part)
+
+
+def product_sum(factors, p):
+    """Σ Π factors(tag)·|cell| over the tags where ``factors`` is not None.
+    The error of a product p·x is |p|·e_x + |x|·e_p + e_p·e_x: the farthest
+    corner of the two error boxes."""
+    total = err = ZERO
+    for tag, cell in p.items:
+        fs = factors(tag)
+        if fs is None:
+            continue
+        v, e = ONE, ZERO
+        for x in fs:
+            v, e = v * x.value, abs(v) * x.err + abs(x.value) * e + e * x.err
+        w = cell.length
+        total += v * w
+        err += e * w
+    return ValueWithError(total, err)
+
+
+def product_sums(factors, parts):
+    for part in parts:
+        yield part, product_sum(factors, part)
+
+
+def variation_sums(f, p, E):
+    """(Σ|Δf|, |ΣΔf|) over the tags in E, one Fraction term at a time."""
+    S = point_set(E)
+    abs_total = abs_err = signed_total = ZERO
+    for tag, cell in p.items:
+        if tag not in S:
+            continue
+        hi = f(cell.hi)
+        lo = f(cell.lo)
+        delta = hi.value - lo.value
+        abs_total += abs(delta)
+        abs_err += hi.err + lo.err
+        signed_total += delta
+    return (
+        ValueWithError(abs_total, abs_err),
+        ValueWithError(abs(signed_total), abs_err),
+    )
+
+
+def variation_sums_of(f, S, parts):
+    for part in parts:
+        yield part, variation_sums(f, part, S)
 
 
 def cantor_fn(x):

@@ -3,10 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gaugekit import Iv, cov, sets
+from gaugekit import Iv, core, cov, sets
 from gaugekit._record import replace
-from gaugekit.core import Gauge, cousin_partition
+from gaugekit.core import Gauge, Item, TaggedPartition, ValueWithError, cousin_partition
 from gaugekit.cov import (
     cov_check,
     cov_scan_all_subintervals,
@@ -19,7 +21,7 @@ from gaugekit.cov import (
     svc_composition_check,
 )
 from gaugekit.errors import DomainError
-from gaugekit.funcs import lookup
+from gaugekit.funcs import EMPTY_FAILURE, FnSpec, identity_fn, lookup
 
 SCHED = (F(1, 10), F(1, 100))
 
@@ -305,3 +307,30 @@ class TestOneShotSchedule:
         old = cov_scan_all_subintervals(inst, grid, SCHED, samples=2, seed=1)
         assert new.payload() == old.payload()
         assert all(len(rep.rows) == len(SCHED) for _, rep in new.cells)
+
+
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+errors = st.builds(F, st.integers(0, 40), st.integers(1, 12))
+
+
+class TestProductError:
+    """f ≡ a ± e_a and g' ≡ b ± e_b, g the identity on [0, 1]: the bound of
+    the integrand must enclose the products at every corner of the boxes."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(F(1), F(1, 2), F(1), F(1, 2))  # reports err 1; (3/2)² is 5/4 away
+    @given(rationals, errors, rationals, errors)
+    def test_bound_encloses_every_corner(self, a, ea, b, eb):
+        unit = Iv(0, 1)
+        g = replace(identity_fn(unit), deriv=lambda x: ValueWithError(b, eb))
+        f = FnSpec(name="blurred", domain=unit, eval=lambda u: ValueWithError(a, ea))
+        inst = cov.CovInstance(name="blurred-product", f=f, F=None, g=g, domain=unit,
+                               B=EMPTY_FAILURE, fog=g, ncv_gauge=lambda eps: None)
+        x = F(1, 2)
+        v = integrand_with_convention(inst)(x)
+        for u in (a - ea, a + ea):
+            for w in (b - eb, b + eb):
+                assert abs(u * w - v.value) <= v.err
+        # the Riemann channel of cov_check folds the same product
+        part = TaggedPartition((Item(x, unit),), unit)
+        assert next(core._product_sums(cov._integrand(inst)[1], (part,)))[1] == v

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gaugekit
+import oracle
 from gaugekit import cli, core, cov, funcs, sets, variation
 from gaugekit._record import replace
 from gaugekit.core import Gauge, Iv, ValueWithError, constant_gauge
@@ -107,11 +108,11 @@ def reference_proof_gauge(inst, eps):
     return Gauge(radius=radius, suggest_tag=suggest, name=f"cov({inst.name})")
 
 
-def reference_integrand_with_convention(inst):
-    def ev(x):
+def reference_factors(inst):
+    def factors(x):
         x = F(x)
         if x in inst.B:
-            return ValueWithError(ZERO, ZERO, convention=True)
+            return None
         gp = inst.g.deriv_at(x)
         gv = inst.g(x)
         fv = inst.f(gv.value)
@@ -119,8 +120,22 @@ def reference_integrand_with_convention(inst):
             raise UnsupportedInstanceError(
                 f"inexact inner value for {inst.name} integrand"
             )
+        return fv, gp
+
+    return factors
+
+
+def reference_integrand_with_convention(inst):
+    factors = reference_factors(inst)
+
+    def ev(x):
+        fs = factors(x)
+        if fs is None:
+            return ValueWithError(ZERO, ZERO, convention=True)
+        fv, gp = fs
         return ValueWithError(
-            fv.value * gp.value, abs(fv.value) * gp.err + abs(gp.value) * fv.err
+            fv.value * gp.value,
+            abs(fv.value) * gp.err + abs(gp.value) * fv.err + fv.err * gp.err,
         )
 
     return FnSpec(
@@ -131,25 +146,19 @@ def reference_integrand_with_convention(inst):
     )
 
 
-def reference_sample_sums(parts, term, width):
-    """Every partition summed in full, every term added."""
-    for part in parts:
-        totals = [ZERO] * width
-        for tag, cell in part.items:
-            t = term(tag, cell)
-            if t is not None:
-                totals = [s + v for s, v in zip(totals, t)]
-        yield part, tuple(totals)
+def reference_integrand(inst):
+    """``cov._integrand``: the FnSpec, and its factors checked against its
+    domain by the FnSpec's own call."""
+    fgh = reference_integrand_with_convention(inst)
+    factors = reference_factors(inst)
 
+    def checked(x):
+        x = F(x)
+        if not fgh.domain.lo <= x <= fgh.domain.hi:
+            raise fgh.domain_error(x)
+        return factors(x)
 
-def reference_riemann_sums(f, parts):
-    def term(tag, cell):
-        v = f(tag)
-        w = cell.length
-        return (v.value * w, v.err * w)
-
-    for part, (total, err) in reference_sample_sums(parts, term, 2):
-        yield part, ValueWithError(total, err)
+    return fgh, checked
 
 
 _SQUARE_FN = funcs.square_fn
@@ -275,6 +284,9 @@ def _custom_instances():
         # g' inexact, and 0 by convention on g's failure set {1/2}
         cov.CovInstance(name="inexact-deriv", f=funcs.const_fn(1, unit),
                         g=_blurred_slope(), fog=_blurred_slope(), **base),
+        # f and g' both inexact: the error bound has the cross term
+        cov.CovInstance(name="inexact-both", f=qroot, g=_blurred_slope(),
+                        fog=_blurred_slope(), **base),
         # g without derivative data, and a B that is a finite set
         cov.CovInstance(name="no-deriv", f=funcs.const_fn(1, unit),
                         g=_no_derivative(), fog=_no_derivative(),
@@ -342,6 +354,15 @@ class TestIntegrand:
         new = cov.integrand_with_convention(inst)
         ref = reference_integrand_with_convention(inst)
         assert (new.name, new.domain, new.exact) == (ref.name, ref.domain, ref.exact)
+        _same(_outcome(new, x), _outcome(ref, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance_and_point)
+    def test_factors_match_reference(self, case):
+        inst, x = case
+        new = cov._integrand(inst)[1]
+        ref = reference_integrand(inst)[1]
+        x = F(x)  # the Riemann sums pass tags as Fractions
         _same(_outcome(new, x), _outcome(ref, x))
 
     @pytest.mark.parametrize("inst", INSTANCES, ids=INSTANCE_NAMES)
@@ -543,7 +564,7 @@ class TestRiemannSums:
         parts = list(core.sample_partitions(
             f.domain, gauge, samples, random.Random(seed), None, tree))
         new = [s for _, s in core._riemann_sums(f, parts)]
-        ref = [s for _, s in reference_riemann_sums(f, parts)]
+        ref = [s for _, s in oracle.riemann_sums(f, parts)]
         _same(new, ref)
 
     def test_first_error_matches_full_sums(self):
@@ -553,7 +574,7 @@ class TestRiemannSums:
         parts = [core.cousin_partition(f.domain, gauge)]
         assert _outcome(lambda: list(core._riemann_sums(f, parts)))[0] == "UndecidedError"
         _same(_outcome(lambda: list(core._riemann_sums(f, parts))),
-              _outcome(lambda: list(reference_riemann_sums(f, parts))))
+              _outcome(lambda: list(oracle.riemann_sums(f, parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -729,11 +750,13 @@ def test_cli_outputs_match_reference_path(tmp_path, capsys, monkeypatch):
         mp.setattr(PredicateFailureSet, "__contains__", reference_predicate_contains)
         for name, ref in (
             ("integrand_with_convention", reference_integrand_with_convention),
+            ("_integrand", reference_integrand),
             ("proof_gauge", reference_proof_gauge),
         ):
             _patch_everywhere(mp, getattr(cov, name), ref)
-        _patch_everywhere(mp, core._riemann_sums, reference_riemann_sums)
-        _patch_everywhere(mp, core._sample_sums, reference_sample_sums)
+        _patch_everywhere(mp, core._riemann_sums, oracle.riemann_sums)
+        _patch_everywhere(mp, core._product_sums, oracle.product_sums)
+        _patch_everywhere(mp, core._sample_sums, oracle.sample_sums)
         _patch_everywhere(mp, funcs.square_fn, reference_square_fn)
         for name, ref in (("member", reference_member), ("distance", reference_distance),
                           ("complement_component", reference_complement_component)):

@@ -189,15 +189,16 @@ def test_min_gauge_suggestions_match_filtered_suggestions(a, b, first, second, n
 
 
 # ---------------------------------------------------------------------------
-# sample 0's sums
+# sample 0's sums: integer numerators grouped by unreduced denominator
 # ---------------------------------------------------------------------------
 
-terms = st.one_of(
-    st.none(),
-    st.tuples(*[st.one_of(st.just(ZERO), st.builds(F, st.integers(-10**6, 10**6),
-                                                   st.sampled_from((1, 2, 3, 1024, 3**7, 10**9 + 7))))
-                for _ in range(3)]),
+# unreduced numerators over denominators, zeros and negative numerators
+pair = st.one_of(
+    st.just((0, 1)),
+    st.tuples(st.integers(-10**6, 10**6),
+              st.sampled_from((1, 2, 3, 6, 1024, 4096, 3**7, 10**9 + 7))),
 )
+terms = st.one_of(st.none(), st.tuples(pair, pair, pair))
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,8 +209,9 @@ def test_grouped_sums_match_running_sums(rows):
     def term(tag, cell):
         return rows[tag]
 
-    new = core._grouped_sums(items, term, 3)
-    assert new == oracle.running_sums(items, term, 3)
+    part = core.TaggedPartition(items, None)
+    ((_, new),) = core._sample_sums((part,), term, 3)
+    assert list(new) == oracle.running_sums(items, term, 3)
     assert all(v.__class__ is F for v in new)
 
 
@@ -223,11 +225,10 @@ CANTOR_JOB = ("variation", "--fn", "cantor", "--set", "C", "--domain", "0", "1",
 _ORDERING = ("__lt__", "__le__", "__gt__", "__ge__")
 
 
-@pytest.fixture(scope="module")
-def job_counts(tmp_path_factory):
-    """Fraction hashes, equality tests and ordering comparisons made by the
-    benchmark's cantor-variation job, run in-process."""
-    counts = dict.fromkeys(("__hash__", "__eq__") + _ORDERING, 0)
+def _count_ops(argv, names, directory):
+    """How often the job ``argv``, run in-process in ``directory``, calls
+    each of the Fraction methods ``names``."""
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, inner):
         def op(*args):
@@ -236,17 +237,25 @@ def job_counts(tmp_path_factory):
         return op
 
     cwd = os.getcwd()
-    os.chdir(tmp_path_factory.mktemp("job"))
+    os.chdir(directory)
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.delenv("GAUGEKIT_DEPTH_CAP", raising=False)
             for name in counts:
                 mp.setattr(F, name, counted(name, getattr(F, name)))
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(list(CANTOR_JOB)) == 0
+                assert cli.main(list(argv)) == 0
     finally:
         os.chdir(cwd)
     return counts
+
+
+@pytest.fixture(scope="module")
+def job_counts(tmp_path_factory):
+    """Fraction hashes, equality tests and ordering comparisons made by the
+    benchmark's cantor-variation job, run in-process."""
+    return _count_ops(CANTOR_JOB, ("__hash__", "__eq__") + _ORDERING,
+                      tmp_path_factory.mktemp("job"))
 
 
 def test_job_hashes_no_fraction_per_query(job_counts):
@@ -259,3 +268,28 @@ def test_job_tests_few_fractions_for_equality(job_counts):
 
 def test_job_orders_few_fractions(job_counts):
     assert sum(job_counts[name] for name in _ORDERING) <= 50  # 10,635 with Fraction tests
+
+
+# ---------------------------------------------------------------------------
+# Fraction arithmetic of one ftc-square job: the sums work on integers
+# ---------------------------------------------------------------------------
+
+FTC_JOB = ("ftc", "--fn", "square", "--domain", "-1", "1", "--eps", "1e-3",
+           "--seed", "5", "--out", "ftc.json")
+FTC_CELLS = 4096
+
+
+@pytest.fixture(scope="module")
+def ftc_counts(tmp_path_factory):
+    return _count_ops(FTC_JOB, ("__mul__", "__rmul__", "__sub__"),
+                      tmp_path_factory.mktemp("ftc"))
+
+
+def test_ftc_job_multiplies_only_in_g_and_its_derivative(ftc_counts):
+    # x·x and 2·x at each tag are left; with Fraction terms the sums made
+    # 12,291 __mul__ and 4,096 __rmul__
+    assert ftc_counts["__mul__"] + ftc_counts["__rmul__"] <= 2 * FTC_CELLS + 64
+
+
+def test_ftc_job_takes_no_cell_length(ftc_counts):
+    assert ftc_counts["__sub__"] <= 64  # 4,104 with a cell.length per term

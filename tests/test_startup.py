@@ -4,7 +4,8 @@ Every ``gaugekit`` command is one process, so what the package imports
 and compiles at start-up is paid on every run. The records are built
 without ``dataclasses`` (which compiles each generated method from source
 text and imports ``inspect``), ``import gaugekit`` loads no submodule,
-and the CLI loads ``cov`` only for the commands that use it.
+and the CLI loads ``cov`` and ``variation`` only for the commands that
+use them.
 """
 
 import ast
@@ -96,3 +97,17 @@ def test_only_the_commands_that_use_cov_load_it(tmp_path):
         "--domain", "-1", "1", "--eps", "1e-1", "--samples", "2", "--seed", "1",
         "--out", "ftc.json", cwd=tmp_path)
     assert "gaugekit.cov" in _imported(ftc.stderr)
+
+
+def test_only_the_commands_that_use_variation_load_it(tmp_path):
+    catalog = python("-X", "importtime", "-m", "gaugekit.cli", "catalog", cwd=tmp_path)
+    assert "gaugekit.variation" not in _imported(catalog.stderr)
+    integrate = python(
+        "-X", "importtime", "-m", "gaugekit.cli", "integrate", "--fn", "linear",
+        "--domain", "0", "1", "--eps", "1e-1", "--seed", "1", cwd=tmp_path)
+    assert "gaugekit.variation" not in _imported(integrate.stderr)
+    variation = python(
+        "-X", "importtime", "-m", "gaugekit.cli", "variation", "--fn", "identity",
+        "--set", "empty", "--domain", "0", "1", "--eps", "1e-1", "--samples", "1",
+        "--seed", "1", cwd=tmp_path)
+    assert "gaugekit.variation" in _imported(variation.stderr)
