@@ -340,10 +340,7 @@ def cmd_counterexample(args) -> int:
     if args.points:
         xs = sets.endpoint_sample(sets.svc(), depth, args.points, seed=args.seed)
     else:
-        pool = sorted(
-            {pt for c in sets.realize(sets.svc(), depth) for pt in (c.lo, c.hi)}
-        )
-        xs = (pool[args.x_index],)
+        xs = (sets.stage_endpoints(sets.svc(), depth)[args.x_index],)
     prec = Fraction(float(args.prec))
     checks = [covmod.svc_composition_check(args.n, x, prec) for x in xs]
     all_ok = all(c.ok for c in checks)

@@ -412,15 +412,16 @@ def riemann_sum(f, p: TaggedPartition) -> ValueWithError:
 
 def _riemann_sums(f, parts):
     """``_product_sums`` of the one factor f(tag)."""
-    return _product_sums(lambda x: (f(x),), parts)
+    return _product_sums(lambda x: (_int_factor(f(x)),), parts)
 
 
 def _product_sums(factors, parts):
     """Yield ``(partition, Σ Π factors(tag)·|cell|)`` for partitions
-    replayed from one tree. ``factors(tag)`` is a tuple of ValueWithErrors,
-    or None where the term is 0 by convention. A cell's width is
-    (hn·ld − ln·hd)/(ld·hd) from its endpoints, and ``_scaled_product``
-    folds it into the term, so no term builds a Fraction."""
+    replayed from one tree. ``factors(tag)`` is a tuple of integer factors
+    (see ``_scaled_product``), or None where the term is 0 by convention. A
+    cell's width is (hn·ld − ln·hd)/(ld·hd) from its endpoints, and
+    ``_scaled_product`` folds it into the term, so no term builds a
+    Fraction."""
 
     def term(tag, cell):
         fs = factors(tag)
@@ -435,19 +436,33 @@ def _product_sums(factors, parts):
         yield part, ValueWithError(total, err)
 
 
+def _int_factor(v: ValueWithError) -> tuple:
+    """``v`` as an integer factor ``(vn, vd, en, ed)``: value vn/vd, error
+    bound en/ed."""
+    x, e = v.value, v.err
+    return x.numerator, x.denominator, e.numerator, e.denominator
+
+
 def _scaled_product(factors, n: int = 1, d: int = 1):
     """``(vn, vd, en, ed)``, not reduced: the product vn/vd of the values of
-    the ValueWithError ``factors`` and n/d >= 0, and its error bound en/ed,
-    (n/d)·(Π(|v| + e) − Π|v|). For two factors the bound is
+    the integer ``factors`` and n/d >= 0, and its error bound en/ed,
+    (n/d)·(Π(|v| + e) − Π|v|). A factor is ``(vn, vd, en, ed)``: value
+    vn/vd and error bound en/ed >= 0, not necessarily reduced, with
+    positive denominators. For two factors the bound is
     (n/d)·(|a|·e_b + |b|·e_a + e_a·e_b), the farthest corner of the boxes;
-    it is 0 when every factor is exact."""
-    vn, vd, un, ud = n, d, n, d
-    for v in factors:
-        x, e = v.value, v.err
-        xn, xd, ed = x.numerator, x.denominator, e.denominator
+    it is 0/1 when every factor is exact."""
+    vn, vd = n, d
+    exact = True
+    for xn, xd, en, _ in factors:
         vn *= xn
         vd *= xd
-        un *= abs(xn) * ed + e.numerator * xd
+        if en:
+            exact = False
+    if exact:
+        return vn, vd, 0, 1
+    un, ud = n, d
+    for xn, xd, en, ed in factors:
+        un *= abs(xn) * ed + en * xd
         ud *= xd * ed
     return vn, vd, un * vd - abs(vn) * ud, ud * vd
 
@@ -648,13 +663,18 @@ class PartitionTree:
         midpoint are known by then; they travel down the stack, and a child
         evaluates only its midpoint and its suggested tags, lazily and in
         its candidate order. A suggested tag that is not an endpoint or the
-        midpoint keeps the exact ball test (``_ball_holds``).
+        midpoint keeps the exact ball test (``_ball_holds``). A first
+        build in the fixed order, under a gauge without a tag oracle, of a
+        domain of positive width walks in ``_grow_straight``.
         """
         domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
         radius_at = gauge.radius_at
         oracle = gauge.suggest_tag is not None
         width = domain.hi - domain.lo
         wn, wd = width.numerator, width.denominator
+        if rng is None and not oracle and wn:
+            nodes, items, closed = self._grow_straight(wn, wd)
+            return self._record(nodes, items, closed, rng)
         nodes = []
         items = []
         closed = True
@@ -712,7 +732,69 @@ class PartitionTree:
                 k_mid = reach[i_mid]
                 stack.append((_ordered_iv(m, hi), depth + 1, k_mid, reach[i_hi]))
                 stack.append((_ordered_iv(lo, m), depth + 1, reach[i_lo], k_mid))
-        # recorded only once complete, so a failed build leaves the tree empty
+        return self._record(nodes, items, closed, rng)
+
+    def _grow_straight(self, wn: int, wd: int):
+        """``_grow``'s walk in the candidate order (lo, hi, midpoint), for a
+        gauge without a tag oracle and a domain of width wn/wd > 0: the
+        nodes, items and closedness that walk records, with the radius
+        calls, and the first error, in the same order. A node carries only
+        its endpoints, depth and endpoint reaches on the stack; the
+        candidate tuple, the verdict list and the cell's Iv are built only
+        for a recorded cell, and a bisected node records its candidate
+        count, 3.
+        """
+        domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
+        radius_at = gauge.radius_at
+        lo, hi = domain.lo, domain.hi
+        # the root's endpoints have no reach from a parent: lo is tried alone
+        r = radius_at(lo)
+        k_lo = (wn * r.denominator // (wd * r.numerator)).bit_length()
+        if not k_lo:
+            m = (lo + hi) / 2
+            return [(domain, (lo, hi, m), [True, None, None])], [Item(lo, domain)], False
+        r = radius_at(hi)
+        k_hi = (wn * r.denominator // (wd * r.numerator)).bit_length()
+        nodes = []
+        items = []
+        closed = True
+        stack = [(lo, hi, 0, k_lo, k_hi)]
+        while stack:
+            lo, hi, depth, k_lo, k_hi = stack.pop()
+            ld, hd = lo.denominator, hi.denominator
+            m = Fraction(lo.numerator * hd + hi.numerator * ld, 2 * ld * hd)
+            if depth >= k_lo or depth >= k_hi:
+                iv = _ordered_iv(lo, hi) if depth else domain
+                if depth >= k_lo:
+                    items.append(Item(lo, iv))
+                    nodes.append((iv, (lo, hi, m), [True, depth >= k_hi, None]))
+                else:
+                    items.append(Item(hi, iv))
+                    nodes.append((iv, (lo, hi, m), [False, True, None]))
+                closed = False  # the midpoint's verdict is unknown
+                continue
+            r = radius_at(m)
+            k = (wn * r.denominator // (wd * r.numerator)).bit_length()
+            if depth >= k - 1:
+                iv = _ordered_iv(lo, hi) if depth else domain
+                items.append(Item(m, iv))
+                nodes.append((iv, (lo, hi, m), [False, False, True]))
+                continue
+            if depth >= max_depth:
+                iv = _ordered_iv(lo, hi) if depth else domain
+                raise DepthExhaustedError(
+                    f"no acceptable tag for {iv} after {depth} bisections "
+                    f"under gauge {gauge.name!r}",
+                    interval=iv,
+                )
+            nodes.append(3)
+            stack.append((m, hi, depth + 1, k, k_hi))
+            stack.append((lo, m, depth + 1, k_lo, k))
+        return nodes, items, closed
+
+    def _record(self, nodes: list, items: list, closed: bool, rng) -> tuple:
+        """Keep a complete first build (a failed build leaves the tree
+        empty) and return its items."""
         items = tuple(items)
         self.nodes = nodes
         self.items = items if closed else None

@@ -26,6 +26,7 @@ from .core import (
     PartitionTree,
     TaggedPartition,
     ValueWithError,
+    _int_factor,
     _product_sums,
     _scaled_product,
     constant_gauge,
@@ -134,29 +135,52 @@ def integrand_with_convention(inst: CovInstance) -> FnSpec:
     return _integrand(inst)[0]
 
 
+# g' on g's failure set, 0 by convention, as an integer factor
+_CONVENTION = (0, 1, 0, 1)
+
+
 def _integrand(inst: CovInstance):
-    """The integrand as a FnSpec, and its factors x ↦ (f(g(x)), g'(x)), or
-    None on B, where it is 0 by convention. The factors check x against
-    the integrand's domain (g's), as the FnSpec's call does; its eval
-    multiplies them (``core._scaled_product``). One closure evaluates g and
-    f without ``FnSpec.__call__`` and checks, once each and in this order:
-    B, g's failure set and derivative (``g.deriv_at``), f's domain at g(x)
-    (the ``DomainError`` of ``FnSpec.__call__``), an inexact g(x).
+    """The integrand as a FnSpec, and its factors x ↦ (f(g(x)), g'(x)) as
+    integer factors ``(vn, vd, en, ed)`` (``core._scaled_product``), or None
+    on B, where it is 0 by convention; the FnSpec's eval multiplies them.
+
+    The factors take x in g's domain, the integrand's, and do not check it:
+    the FnSpec's call does. One closure evaluates g and f without
+    ``FnSpec.__call__`` and checks, once each and in this order: B, g's
+    failure set, where g' is 0 but g(x) is still evaluated, and g's
+    derivative (``FnSpec.deriv_at``), f's domain at g(x) by
+    cross-products (the ``DomainError`` of ``FnSpec.__call__``), an inexact
+    g(x). Where g or f has an exact kernel (``FnSpec.exact_kernel``), its
+    value and derivative are taken on integers, with no Fraction and no
+    ValueWithError.
     """
-    B, f = inst.B, inst.f
-    g_eval, g_deriv_at = inst.g.eval, inst.g.deriv_at
-    f_eval, f_domain = f.eval, f.domain
+    B, f, g = inst.B, inst.f, inst.g
+    g_kernel, f_kernel = g.exact_kernel(), f.exact_kernel()
+    g_eval, g_deriv_at, g_fails = g.eval, g.deriv_at, g.failure_set
+    f_eval = f.eval
+    f_lo, f_hi = f.domain.lo, f.domain.hi
+    fln, fld, fhn, fhd = f_lo.numerator, f_lo.denominator, f_hi.numerator, f_hi.denominator
 
     def factors(x):
         if x in B:
             return None
-        gp = g_deriv_at(x)
-        gv = g_eval(x)
-        u = gv.value
-        if u not in f_domain:
-            raise f.domain_error(u)
-        fv = f_eval(u)
-        if gv.err != 0:
+        if g_kernel is None:
+            gp = _int_factor(g_deriv_at(x))
+            gv = g_eval(x)
+            u = gv.value
+            un, ud = u.numerator, u.denominator
+        else:
+            (un, ud), (dn, dd) = g_kernel(x.numerator, x.denominator)
+            gp = _CONVENTION if x in g_fails else (dn, dd, 0, 1)
+            gv = None
+        if not (fln * ud <= un * fld and un * fhd <= fhn * ud):
+            raise f.domain_error(Fraction(un, ud))
+        if f_kernel is not None:
+            (vn, vd), _ = f_kernel(un, ud)
+            fv = (vn, vd, 0, 1)
+        else:
+            fv = _int_factor(f_eval(Fraction(un, ud) if gv is None else u))
+        if gv is not None and gv.err != 0:
             raise UnsupportedInstanceError(
                 f"inexact inner value for {inst.name} integrand"
             )
@@ -175,14 +199,7 @@ def _integrand(inst: CovInstance):
         eval=ev,
         exact=inst.f.exact and inst.g.exact,
     )
-    domain, domain_error = fgh.domain, fgh.domain_error
-
-    def checked(x):
-        if x not in domain:
-            raise domain_error(x)
-        return factors(x)
-
-    return fgh, checked
+    return fgh, factors
 
 
 @record
@@ -270,6 +287,7 @@ def cov_check(
         mid = (max(vals) + min(vals)) / 2
         lhs = ValueWithError(mid, (max(vals) - min(vals)) / 2 + errs)
         lhs_channel = "sampled"
+    # g(interval.lo) and g(interval.hi) above confine every tag to g's domain
     factors = _integrand(inst)[1]
     master = random.Random(seed)
     ncv_master = random.Random(seed + 1)

@@ -258,6 +258,15 @@ class FnSpec:
             raise UnsupportedInstanceError(f"{self.name} has no derivative data")
         return self.deriv(x)
 
+    def exact_kernel(self):
+        """The exact rational kernel that eval and deriv were both derived
+        from (:func:`kernel_fns`), or None: the value and the derivative
+        at n/d (d > 0) on integers."""
+        k = getattr(self.eval, "__wrapped__", None)
+        if k is not None and getattr(self.deriv, "__wrapped__", None) is k:
+            return k
+        return None
+
     def descriptor(self) -> dict:
         return {
             "name": self.name,
@@ -377,13 +386,43 @@ def _quartic_err_modulus(d: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def kernel_fns(kernel) -> dict:
+    """The ``eval`` and ``deriv`` fields of a function given by an exact
+    rational kernel: ``kernel(n, d)`` is ``((vn, vd), (dn, dd))``,
+    its value vn/vd and derivative dn/dd at n/d (d > 0), as integer pairs,
+    not reduced, with positive denominators. So the function is written
+    once, and the integrand (``cov._integrand``) reads it on integers."""
+
+    def ev(x):
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        (vn, vd), _ = kernel(x.numerator, x.denominator)
+        return ValueWithError(Fraction(vn, vd))
+
+    def deriv(x):
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        _, (dn, dd) = kernel(x.numerator, x.denominator)
+        return ValueWithError(Fraction(dn, dd))
+
+    ev.__wrapped__ = deriv.__wrapped__ = kernel
+    return {"eval": ev, "deriv": deriv}
+
+
 def const_fn(c, domain: Iv, name: Optional[str] = None) -> FnSpec:
     c = Fraction(c)
+    at = ((c.numerator, c.denominator), (0, 1))
+    fns = kernel_fns(lambda n, d: at)
+    # the kernel does not read x: eval and deriv return its value and
+    # slope, evaluated once
+    value, slope = fns["eval"](ZERO), fns["deriv"](ZERO)
+    ev, deriv = (lambda x: value), (lambda x: slope)
+    ev.__wrapped__ = deriv.__wrapped__ = fns["eval"].__wrapped__
     return FnSpec(
         name=name or (("one" if c == 1 else "zero") if c in (0, 1) else f"const({rat_str(c)})"),
         domain=domain,
-        eval=lambda x: ValueWithError(c),
-        deriv=lambda x: ValueWithError(ZERO),
+        eval=ev,
+        deriv=deriv,
         modulus=lambda x, eps: ONE,
         monotone_breakpoints=(),
         dini_band=lambda x: 0,
@@ -396,8 +435,7 @@ def identity_fn(domain: Iv, name: str = "identity") -> FnSpec:
     return FnSpec(
         name=name,
         domain=domain,
-        eval=lambda x: ValueWithError(x),
-        deriv=lambda x: ValueWithError(ONE),
+        **kernel_fns(lambda n, d: ((n, d), (1, 1))),
         modulus=lambda x, eps: ONE,
         monotone_breakpoints=(),
         dini_band=lambda x: 1,
@@ -432,8 +470,7 @@ def square_fn(domain: Iv, name: str = "square") -> FnSpec:
     return FnSpec(
         name=name,
         domain=domain,
-        eval=lambda x: ValueWithError(x * x),
-        deriv=lambda x: ValueWithError(2 * x),
+        **kernel_fns(lambda n, d: ((n * n, d * d), (2 * n, d))),
         modulus=modulus,
         monotone_breakpoints=(ZERO,) if domain.interior_contains(ZERO) else (),
         dini_band=band,

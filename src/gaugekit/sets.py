@@ -384,15 +384,24 @@ def svc_stage_interval(x, depth: int) -> Iv:
     return Iv(*data)
 
 
+def stage_endpoints(s: GeneratedSet, depth: int) -> list:
+    """The endpoints of the depth-n stage's cells (all limit-set members),
+    in strictly increasing order: ``realize``'s cells are sorted, with a
+    gap between neighbours, so the flat list of their ends needs no sort."""
+    return [pt for c in realize(s, depth) for pt in (c.lo, c.hi)]
+
+
 def endpoint_sample(s: GeneratedSet, depth: int, count: int, seed: int = 0):
-    """Seeded sample of realization-stage endpoints (all limit-set members)."""
+    """Seeded sample of realization-stage endpoints, in increasing order."""
     import random
 
-    pool = sorted({pt for c in realize(s, depth) for pt in (c.lo, c.hi)})
+    pool = stage_endpoints(s, depth)
     if count >= len(pool):
         return tuple(pool)
-    rng = random.Random(seed)
-    return tuple(sorted(rng.sample(pool, count)))
+    # random.sample picks positions from the population's length alone, so
+    # sampling positions picks what sampling the points would
+    picked = random.Random(seed).sample(range(len(pool)), count)
+    return tuple(pool[k] for k in sorted(picked))
 
 
 def dump_realization_csv(path, s: GeneratedSet, depth: int) -> None:

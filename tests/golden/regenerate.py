@@ -66,6 +66,16 @@ COMMANDS = (
                             "--domain", "0", "1", "--seed", "1")),
     ("variation-cantor-ncv", ("variation", "--fn", "cantor", "--set", "C",
                               "--domain", "0", "1", "--mode", "ncv", "--seed", "1")),
+    # the FTC and the Riemann sums on the polynomial catalog, off the benchmark's domain
+    ("ftc-square-nondyadic", ("ftc", "--fn", "square", "--domain", "1/7", "5/6",
+                              "--eps", "1e-2", "--seed", "4")),
+    ("ftc-identity", ("ftc", "--fn", "identity", "--domain", "-2", "2",
+                      "--eps", "1e-2", "--seed", "3")),
+    ("integrate-square", ("integrate", "--fn", "square", "--domain", "0", "1",
+                          "--eps", "1e-3", "--seed", "2")),
+    # a sampled fat-Cantor endpoint pool
+    ("counterexample-sample", ("counterexample", "--svc", "-n", "20", "--points", "200",
+                               "--endpoint-depth", "10", "--seed", "3")),
     # one command per failure exit code
     ("exit1-ftc-mismatch", ("ftc", "--fn", "cantor", "--domain", "0", "1",
                             "--seed", "5", "--expect", "holds")),

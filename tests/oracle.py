@@ -107,18 +107,26 @@ def riemann_sums(f, parts):
         yield part, riemann_sum(f, part)
 
 
+def int_factor(v):
+    """A ValueWithError as an integer factor ``(vn, vd, en, ed)``."""
+    return v.value.numerator, v.value.denominator, v.err.numerator, v.err.denominator
+
+
 def product_sum(factors, p):
     """Σ Π factors(tag)·|cell| over the tags where ``factors`` is not None.
-    The error of a product p·x is |p|·e_x + |x|·e_p + e_p·e_x: the farthest
-    corner of the two error boxes."""
+    A factor is ``(vn, vd, en, ed)``, the value vn/vd with the error bound
+    en/ed, as ``core._product_sums`` takes it. The error of a product p·x
+    is |p|·e_x + |x|·e_p + e_p·e_x: the farthest corner of the two error
+    boxes."""
     total = err = ZERO
     for tag, cell in p.items:
         fs = factors(tag)
         if fs is None:
             continue
         v, e = ONE, ZERO
-        for x in fs:
-            v, e = v * x.value, abs(v) * x.err + abs(x.value) * e + e * x.err
+        for xn, xd, en, ed in fs:
+            x, ex = F(xn, xd), F(en, ed)
+            v, e = v * x, abs(v) * ex + abs(x) * e + e * ex
         w = cell.length
         total += v * w
         err += e * w

@@ -147,8 +147,10 @@ def reference_integrand_with_convention(inst):
 
 
 def reference_integrand(inst):
-    """``cov._integrand``: the FnSpec, and its factors checked against its
-    domain by the FnSpec's own call."""
+    """``cov._integrand``: the FnSpec, and its factors as integer factors.
+    They check every tag against the FnSpec's domain, which the factors of
+    ``cov._integrand`` take on trust: on the reference path a tag outside
+    it would fail the run."""
     fgh = reference_integrand_with_convention(inst)
     factors = reference_factors(inst)
 
@@ -156,7 +158,8 @@ def reference_integrand(inst):
         x = F(x)
         if not fgh.domain.lo <= x <= fgh.domain.hi:
             raise fgh.domain_error(x)
-        return factors(x)
+        fs = factors(x)
+        return None if fs is None else tuple(map(oracle.int_factor, fs))
 
     return fgh, checked
 
@@ -165,12 +168,26 @@ _SQUARE_FN = funcs.square_fn
 
 
 def reference_square_fn(domain, name="square"):
+    """``square_fn`` with Fraction products and no kernel."""
     width = domain.length
 
     def modulus(x, eps):
         return F(eps) / width
 
-    return replace(_SQUARE_FN(domain, name), modulus=modulus)
+    return replace(_SQUARE_FN(domain, name), modulus=modulus,
+                   eval=lambda x: ValueWithError(x * x),
+                   deriv=lambda x: ValueWithError(2 * x))
+
+
+_GAUGE_INIT = Gauge.__init__
+
+
+def reference_gauge_init(self, *args, **kwargs):
+    """``Gauge``, with a tag oracle that offers nothing in place of none:
+    every first build takes the general walk."""
+    _GAUGE_INIT(self, *args, **kwargs)
+    if self.suggest_tag is None:
+        object.__setattr__(self, "suggest_tag", lambda iv: ())
 
 
 def reference_member(s, x, depth_cap=None):
@@ -239,6 +256,29 @@ def _same(a, b):
     assert repr(a) == repr(b)
 
 
+def _factor_values(fs):
+    """Integer factors as (value, error bound) Fraction pairs."""
+    return None if fs is None else [(F(vn, vd), F(en, ed)) for vn, vd, en, ed in fs]
+
+
+def _same_factors(inst, x):
+    """At a tag x in g's domain, the integer factors and the reference's
+    agree factor by factor as values and error bounds, and their sums over
+    one cell tagged at x (by core, and by the oracle in Fractions) agree:
+    each result, or its first error. Off g's domain the factors are never
+    called (the FnSpec's call checks x there)."""
+    x = F(x)
+    if x not in inst.g.domain:
+        return
+    new, ref = cov._integrand(inst)[1], reference_integrand(inst)[1]
+    _same(_outcome(lambda: _factor_values(new(x))),
+          _outcome(lambda: _factor_values(ref(x))))
+    cell = Iv(x, x + F(2, 7))
+    part = core.TaggedPartition((core.Item(x, cell),), cell)
+    _same(_outcome(lambda: next(core._product_sums(new, (part,)))[1]),
+          _outcome(lambda: next(oracle.product_sums(ref, (part,)))[1]))
+
+
 # ---------------------------------------------------------------------------
 # instances: the registry, the FTC instance of each catalog function, and
 # instances that reach the integrand's rarer branches
@@ -291,6 +331,11 @@ def _custom_instances():
         cov.CovInstance(name="no-deriv", f=funcs.const_fn(1, unit),
                         g=_no_derivative(), fog=_no_derivative(),
                         **{**base, "B": FiniteFailureSet((F(1, 5),))}),
+        # g with a kernel, a failure set {1/2} and B = {1/4}; f's domain
+        # [0, 1/2] ends inside g's range
+        cov.CovInstance(name="kernel-with-sets", f=funcs.const_fn(1, Iv(0, F(1, 2))),
+                        g=replace(square, failure_set=FiniteFailureSet((F(1, 2),))),
+                        fog=square, **{**base, "B": FiniteFailureSet((F(1, 4),))}),
         # B empty, but B's gauge has a tag oracle: the proof gauge keeps one
         cov.CovInstance(name="oracle-on-b", f=funcs.const_fn(1, unit), g=square,
                         fog=square, **{**base, "ncv_gauge": lambda eps: Gauge(
@@ -360,10 +405,29 @@ class TestIntegrand:
     @given(instance_and_point)
     def test_factors_match_reference(self, case):
         inst, x = case
-        new = cov._integrand(inst)[1]
-        ref = reference_integrand(inst)[1]
-        x = F(x)  # the Riemann sums pass tags as Fractions
-        _same(_outcome(new, x), _outcome(ref, x))
+        _same_factors(inst, x)  # the Riemann sums pass tags as Fractions
+
+    @pytest.mark.parametrize("inst", INSTANCES, ids=INSTANCE_NAMES)
+    def test_sums_over_the_domain_match_oracle(self, inst):
+        # the factors over seeded partitions of the instance's domain
+        gauge = constant_gauge(F(1, 9))
+        outcomes = []
+        for factors, sums in ((cov._integrand(inst)[1], core._product_sums),
+                              (reference_integrand(inst)[1], oracle.product_sums)):
+            parts = core.sample_partitions(inst.domain, gauge, 3, random.Random(2))
+            outcomes.append(_outcome(lambda: [s for _, s in sums(factors, parts)]))
+        _same(*outcomes)
+
+    def test_interval_past_g_fails_at_its_end(self):
+        # the instance's domain reaches past g's: cov_check fails with g's
+        # DomainError at the interval's end, before the factors see any tag
+        unit, wide = Iv(0, 1), Iv(0, 2)
+        g = funcs.square_fn(unit)
+        inst = cov.CovInstance(name="past-g", f=funcs.const_fn(1, Iv(0, 4)), F=None, g=g,
+                               domain=wide, B=EMPTY_FAILURE, fog=g,
+                               ncv_gauge=lambda eps: variation.default_gauge(EMPTY_FAILURE))
+        out = _outcome(cov.cov_check, inst, wide)
+        assert out[:3] == ("DomainError", f"square evaluated at 2 outside {unit}", 2)
 
     @pytest.mark.parametrize("inst", INSTANCES, ids=INSTANCE_NAMES)
     def test_special_points_match_reference(self, inst):
@@ -371,6 +435,7 @@ class TestIntegrand:
         ref = reference_integrand_with_convention(inst)
         for x in _special_points(inst):
             _same(_outcome(new, x), _outcome(ref, x))
+            _same_factors(inst, x)
 
     def test_every_branch_is_reached(self):
         # the special points reach every outcome the integrand can have
@@ -393,6 +458,38 @@ class TestIntegrand:
             ("UnsupportedInstanceError", "no_derivative"),
             ("UndecidedError", "fat-Cantor"),
         } <= seen
+
+
+signed_rationals = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+class TestKernels:
+    """The exact kernels against the Fraction lambdas they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_rationals, signed_rationals, st.integers(1, 12))
+    def test_match_fraction_lambdas(self, x, c, k):
+        wide = Iv(-10**6, 10**6)
+        for spec, value, slope in (
+            (funcs.identity_fn(wide), lambda x: x, lambda x: ONE),
+            (funcs.square_fn(wide), lambda x: x * x, lambda x: 2 * x),
+            (funcs.const_fn(c, wide), lambda x: c, lambda x: ZERO),
+        ):
+            kernel = spec.exact_kernel()
+            # an unreduced n/d, as the integrand passes g(x) to f's kernel
+            for n, d in ((x.numerator, x.denominator), (k * x.numerator, k * x.denominator)):
+                (vn, vd), (dn, dd) = kernel(n, d)
+                assert vd > 0 and dd > 0
+                assert (F(vn, vd), F(dn, dd)) == (value(x), slope(x))
+            _same(spec.eval(x), ValueWithError(value(x)))
+            _same(spec.deriv(x), ValueWithError(slope(x)))
+
+    def test_replaced_eval_or_deriv_drops_the_kernel(self):
+        square = funcs.square_fn(Iv(-1, 1))
+        assert replace(square, deriv=lambda x: ValueWithError(ONE)).exact_kernel() is None
+        assert replace(square, eval=lambda x: ValueWithError(x)).exact_kernel() is None
+        kernel = square.exact_kernel()
+        assert kernel is not None and replace(square, modulus=None).exact_kernel() is kernel
 
 
 class TestProofGauge:
@@ -698,6 +795,12 @@ JOBS = (
        "--gauge", "min:dist:C+const:1/1024", "--mode", "nv", "--seed", str(s),
        "--out", f"variation-{s}.json") for s in (1, 2, 3)),
     ("integrate", "--fn", "cantor", "--domain", "0", "1", "--eps", "1e-3", "--seed", "1"),
+    # an FTC whose sums of g' do not cancel by symmetry, and the cells of a
+    # gauge without a tag oracle
+    ("ftc", "--fn", "square", "--domain", "1/7", "5/6", "--eps", "1e-2", "--seed", "4",
+     "--out", "ftc-off-centre.json"),
+    ("partition", "--domain", "1/7", "5/6", "--gauge", "const:1/50", "--fn", "square",
+     "--out", "part-const.csv"),
     ("partition", "--domain", "1/3", "1", "--gauge", "dist:S"),
 )
 EXIT_CODES = [0] * (len(JOBS) - 1) + [4]
@@ -735,6 +838,10 @@ def _patch_everywhere(mp, obj, replacement):
                 mp.setattr(mod, key, replacement)
 
 
+def _not_on_the_reference_path(*args):
+    raise AssertionError("a fast path ran on the reference path")
+
+
 def test_cli_outputs_match_reference_path(tmp_path, capsys, monkeypatch):
     (tmp_path / "new").mkdir()
     (tmp_path / "ref").mkdir()
@@ -745,6 +852,9 @@ def test_cli_outputs_match_reference_path(tmp_path, capsys, monkeypatch):
         mp.setattr(Iv, "__contains__", reference_iv_contains)
         mp.setattr(ValueWithError, "__init__", reference_vwe_init)
         mp.setattr(Gauge, "radius_at", reference_radius_at)
+        mp.setattr(Gauge, "__init__", reference_gauge_init)
+        mp.setattr(core.PartitionTree, "_grow_straight", _not_on_the_reference_path)
+        mp.setattr(FnSpec, "exact_kernel", _not_on_the_reference_path)
         mp.setattr(GeneratedFailureSet, "__contains__", reference_generated_contains)
         mp.setattr(FiniteFailureSet, "__contains__", reference_finite_contains)
         mp.setattr(PredicateFailureSet, "__contains__", reference_predicate_contains)

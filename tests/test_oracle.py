@@ -12,6 +12,7 @@ must be the same.
 import contextlib
 import io
 import os
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -293,3 +294,72 @@ def test_ftc_job_multiplies_only_in_g_and_its_derivative(ftc_counts):
 
 def test_ftc_job_takes_no_cell_length(ftc_counts):
     assert ftc_counts["__sub__"] <= 64  # 4,104 with a cell.length per term
+
+
+# ---------------------------------------------------------------------------
+# calls of one ftc-square job: g, g' and f on integers, and a straight-line
+# first build
+# ---------------------------------------------------------------------------
+
+FTC_NODES = 2 * FTC_CELLS - 1
+
+
+def _count_calls(argv, functions, directory):
+    """How often the job ``argv``, run in-process in ``directory``, enters
+    each of the Python ``functions`` (a dict name -> function), counted by
+    a profile hook on their code objects."""
+    codes = {fn.__code__: name for name, fn in functions.items()}
+    counts = dict.fromkeys(functions, 0)
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = codes.get(frame.f_code)
+            if name is not None:
+                counts[name] += 1
+
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("GAUGEKIT_DEPTH_CAP", raising=False)
+            with contextlib.redirect_stdout(io.StringIO()):
+                sys.setprofile(hook)
+                try:
+                    assert cli.main(list(FTC_JOB)) == 0
+                finally:
+                    sys.setprofile(None)
+    finally:
+        os.chdir(cwd)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def ftc_calls(tmp_path_factory):
+    return _count_calls(FTC_JOB, {
+        "Fraction._mul": F._mul,
+        "Fraction.__new__": F.__new__,
+        "ValueWithError.__init__": core.ValueWithError.__init__,
+        "Iv.__contains__": Iv.__contains__,
+        "Gauge.radius_at": Gauge.radius_at,
+    }, tmp_path_factory.mktemp("ftc-calls"))
+
+
+def test_ftc_job_multiplies_no_fraction_per_tag(ftc_calls):
+    assert ftc_calls["Fraction._mul"] <= 16  # 8,195 with x·x and 2·x per tag
+
+
+def test_ftc_job_builds_no_value_with_error_per_tag(ftc_calls):
+    assert ftc_calls["ValueWithError.__init__"] <= 64  # 12,302 with f(g(x)) and g'(x)
+
+
+def test_ftc_job_checks_no_interval_per_tag(ftc_calls):
+    assert ftc_calls["Iv.__contains__"] <= 16  # 8,196 with two domain checks per tag
+
+
+def test_ftc_job_builds_one_fraction_per_node(ftc_calls):
+    # each node's midpoint; 16,478 with g(x) and g'(x) as Fractions
+    assert ftc_calls["Fraction.__new__"] <= FTC_NODES + 256
+
+
+def test_ftc_job_evaluates_each_radius_once(ftc_calls):
+    assert ftc_calls["Gauge.radius_at"] == FTC_NODES + 2  # every midpoint, and the root's ends

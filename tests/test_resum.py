@@ -103,12 +103,13 @@ def _logged_set(undecided, log):
 
 
 def _logged_factors(f, S):
-    """x ↦ (f(x), x + 1/3 ± 1/7), or None (a convention zero) off S."""
+    """x ↦ (f(x), x + 1/3 ± 1/7) as integer factors, or None (a convention
+    zero) off S."""
 
     def factors(x):
         if x not in S:
             return None
-        return f(x), ValueWithError(x + F(1, 3), F(1, 7))
+        return oracle.int_factor(f(x)), oracle.int_factor(ValueWithError(x + F(1, 3), F(1, 7)))
 
     return factors
 

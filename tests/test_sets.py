@@ -254,6 +254,23 @@ class TestBoundsAndLimits:
         xs = endpoint_sample(C, 2, 100, seed=0)
         assert len(xs) == 8  # every endpoint of the 4 cells
 
+    @pytest.mark.parametrize("s", (C, D, S), ids=lambda s: s.kind)
+    def test_stage_endpoints_strictly_increase(self, s):
+        for depth in range(13):
+            pool = sets.stage_endpoints(s, depth)
+            assert len(pool) == 2 * len(realize(s, depth))
+            assert all(a < b for a, b in zip(pool, pool[1:])), depth
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((C, D, S)), st.integers(0, 9), st.integers(1, 300),
+           st.integers(0, 2**32))
+    def test_endpoint_sample_matches_sorted_pool_sample(self, s, depth, count, seed):
+        # the sample drawn from the sorted set of endpoints, as it was drawn
+        pool = sorted({pt for c in realize(s, depth) for pt in (c.lo, c.hi)})
+        want = tuple(pool) if count >= len(pool) else tuple(
+            sorted(random.Random(seed).sample(pool, count)))
+        assert endpoint_sample(s, depth, count, seed) == want
+
 
 class TestSvcHelpers:
     def test_realization_csv(self, tmp_path):
