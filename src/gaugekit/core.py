@@ -209,8 +209,6 @@ _set_value = ValueWithError.value.__set__
 _set_err = ValueWithError.err.__set__
 _set_convention = ValueWithError.convention.__set__
 
-VWE = ValueWithError
-
 
 class Item(NamedTuple):
     """One (tag, cell) pair of a tagged partition."""
@@ -579,12 +577,6 @@ def _candidates(sugg: tuple, lo: Fraction, hi: Fraction, m: Fraction):
     return (tuple(cands), *at[-3:])
 
 
-# Depth offsets of the default candidates (lo, hi, midpoint): the ball
-# around an endpoint of a depth-d cell contains the cell iff d >= reach, the
-# ball around its midpoint iff d + 1 >= reach (see PartitionTree._grow).
-_DEFAULT_OFFSETS = (0, 0, 1)
-
-
 class PartitionTree:
     """The bisection of one domain under one gauge, recorded for replay.
 
@@ -598,12 +590,14 @@ class PartitionTree:
     midpoint at most once, and decides their verdicts by integer depth
     thresholds: a bisected node passes the thresholds of its endpoints and
     midpoint down to its two children, whose endpoints they are, so a
-    child's endpoint verdicts cost no radius call. Later calls replay the
-    record with one shuffle per node, evaluating a radius only where the
-    candidate's verdict is still unknown. Replays share the cell objects and
-    each cell's candidate objects, so two samples differ only in which
-    candidate some cells carry; sums over the samples exploit this (see
-    ``_sample_sums``).
+    child's endpoint verdicts cost no radius call. The walk is one loop:
+    a node takes the fixed-order step or the candidate step (see
+    ``_grow``), and both record what an uncached walk in its candidate
+    order would. Later calls replay the record with one shuffle per node,
+    evaluating a radius only where the candidate's verdict is still
+    unknown. Replays share the cell objects and each cell's candidate
+    objects, so two samples differ only in which candidate some cells
+    carry; sums over the samples exploit this (see ``_sample_sums``).
 
     A tree is *closed* when every cell of its first build has all of its
     verdicts known and exactly one candidate accepted: then every candidate
@@ -660,141 +654,97 @@ class PartitionTree:
         W = 0). An endpoint is acceptable iff depth >= reach, a midpoint
         iff depth + 1 >= reach. A node is bisected only once all of its
         candidates were rejected, so the reaches at its endpoints and
-        midpoint are known by then; they travel down the stack, and a child
-        evaluates only its midpoint and its suggested tags, lazily and in
-        its candidate order. A suggested tag that is not an endpoint or the
-        midpoint keeps the exact ball test (``_ball_holds``). A first
-        build in the fixed order, under a gauge without a tag oracle, of a
-        domain of positive width walks in ``_grow_straight``.
+        midpoint are known by then; they travel down the stack with the
+        child's endpoints, depth and endpoint reaches.
+
+        A node takes one of two steps. Below the root of a build without an
+        ``rng``, where the gauge suggests nothing, it takes the fixed-order
+        step: lo, then hi, both decided by their reaches, then the midpoint
+        by its reach; the cell's Iv, candidate tuple and verdict list are
+        built only for a recorded cell. (A domain of zero width is one
+        cell, so every node below a root has positive width.) Every other
+        node takes the candidate step: its suggested tags, then lo, hi and
+        the midpoint (``_candidates``), tried lazily in the order
+        ``_order`` gives; a suggested tag that is not an endpoint or the
+        midpoint keeps the exact ball test (``_ball_holds``).
         """
         domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
         radius_at = gauge.radius_at
         oracle = gauge.suggest_tag is not None
         width = domain.hi - domain.lo
         wn, wd = width.numerator, width.denominator
-        if rng is None and not oracle and wn:
-            nodes, items, closed = self._grow_straight(wn, wd)
-            return self._record(nodes, items, closed, rng)
         nodes = []
         items = []
         closed = True
-        stack = [(domain, 0, None, None)]
+        sugg = ()  # a gauge without a tag oracle suggests nothing anywhere
+        stack = [(domain.lo, domain.hi, 0, None, None)]
         while stack:
-            iv, depth, k_lo, k_hi = stack.pop()
-            lo, hi = iv.lo, iv.hi
+            lo, hi, depth, k_lo, k_hi = stack.pop()
             ld, hd = lo.denominator, hi.denominator
             m = Fraction(lo.numerator * hd + hi.numerator * ld, 2 * ld * hd)
-            sugg = gauge.suggestions(iv) if oracle else ()
-            if sugg or not wn:
-                # suggestions first; a suggested endpoint or midpoint keeps
-                # its depth offset, and a degenerate cell has one candidate
+            iv = tag = None
+            if oracle:
+                iv = _ordered_iv(lo, hi) if depth else domain
+                sugg = gauge.suggestions(iv)
+            if rng is None and k_lo is not None and not sugg:
+                n = 3
+                if depth >= k_lo:
+                    tag, cands, verdicts = lo, (lo, hi, m), [True, depth >= k_hi, None]
+                    closed = False  # the midpoint's verdict is unknown
+                elif depth >= k_hi:
+                    tag, cands, verdicts = hi, (lo, hi, m), [False, True, None]
+                    closed = False
+                else:
+                    r = radius_at(m)
+                    k_mid = (wn * r.denominator // (wd * r.numerator)).bit_length()
+                    if depth >= k_mid - 1:
+                        tag, cands, verdicts = m, (lo, hi, m), [False, False, True]
+            else:
                 cands, i_lo, i_hi, i_mid = _candidates(sugg, lo, hi, m)
                 n = len(cands)
                 offsets = [None] * n
                 offsets[i_lo] = offsets[i_hi] = 0
                 offsets[i_mid] = 1
-            else:
-                cands = (lo, hi, m)
-                n = 3
-                i_lo, i_hi, i_mid = 0, 1, 2
-                offsets = _DEFAULT_OFFSETS
-            verdicts = [None] * n
-            reach = [None] * n
-            if k_lo is not None:
-                reach[i_lo], reach[i_hi] = k_lo, k_hi
-                verdicts[i_lo], verdicts[i_hi] = depth >= k_lo, depth >= k_hi
-            for j in _order(n, rng):
-                ok = verdicts[j]
-                if ok is None:
-                    x = cands[j]
-                    r = radius_at(x)
-                    off = offsets[j]
-                    if off is None:
-                        ok = _ball_holds(x, r, lo, hi)
-                    else:
-                        k = reach[j] = (wn * r.denominator // (wd * r.numerator)).bit_length()
-                        ok = depth + off >= k
-                    verdicts[j] = ok
-                if ok:
-                    items.append(Item(cands[j], iv))
-                    nodes.append((iv, cands, verdicts))
-                    if closed and (None in verdicts or verdicts.count(True) != 1):
-                        closed = False
-                    break
-            else:
-                if depth >= max_depth:
-                    raise DepthExhaustedError(
-                        f"no acceptable tag for {iv} after {depth} bisections "
-                        f"under gauge {gauge.name!r}",
-                        interval=iv,
-                    )
-                nodes.append(n)
-                k_mid = reach[i_mid]
-                stack.append((_ordered_iv(m, hi), depth + 1, k_mid, reach[i_hi]))
-                stack.append((_ordered_iv(lo, m), depth + 1, reach[i_lo], k_mid))
-        return self._record(nodes, items, closed, rng)
-
-    def _grow_straight(self, wn: int, wd: int):
-        """``_grow``'s walk in the candidate order (lo, hi, midpoint), for a
-        gauge without a tag oracle and a domain of width wn/wd > 0: the
-        nodes, items and closedness that walk records, with the radius
-        calls, and the first error, in the same order. A node carries only
-        its endpoints, depth and endpoint reaches on the stack; the
-        candidate tuple, the verdict list and the cell's Iv are built only
-        for a recorded cell, and a bisected node records its candidate
-        count, 3.
-        """
-        domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
-        radius_at = gauge.radius_at
-        lo, hi = domain.lo, domain.hi
-        # the root's endpoints have no reach from a parent: lo is tried alone
-        r = radius_at(lo)
-        k_lo = (wn * r.denominator // (wd * r.numerator)).bit_length()
-        if not k_lo:
-            m = (lo + hi) / 2
-            return [(domain, (lo, hi, m), [True, None, None])], [Item(lo, domain)], False
-        r = radius_at(hi)
-        k_hi = (wn * r.denominator // (wd * r.numerator)).bit_length()
-        nodes = []
-        items = []
-        closed = True
-        stack = [(lo, hi, 0, k_lo, k_hi)]
-        while stack:
-            lo, hi, depth, k_lo, k_hi = stack.pop()
-            ld, hd = lo.denominator, hi.denominator
-            m = Fraction(lo.numerator * hd + hi.numerator * ld, 2 * ld * hd)
-            if depth >= k_lo or depth >= k_hi:
-                iv = _ordered_iv(lo, hi) if depth else domain
-                if depth >= k_lo:
-                    items.append(Item(lo, iv))
-                    nodes.append((iv, (lo, hi, m), [True, depth >= k_hi, None]))
+                verdicts = [None] * n
+                reach = [None] * n
+                if k_lo is not None:
+                    reach[i_lo], reach[i_hi] = k_lo, k_hi
+                    verdicts[i_lo], verdicts[i_hi] = depth >= k_lo, depth >= k_hi
+                for j in _order(n, rng):
+                    ok = verdicts[j]
+                    if ok is None:
+                        x = cands[j]
+                        r = radius_at(x)
+                        off = offsets[j]
+                        if off is None:
+                            ok = _ball_holds(x, r, lo, hi)
+                        else:
+                            k = reach[j] = (wn * r.denominator // (wd * r.numerator)).bit_length()
+                            ok = depth + off >= k
+                        verdicts[j] = ok
+                    if ok:
+                        tag = cands[j]
+                        if None in verdicts or verdicts.count(True) != 1:
+                            closed = False
+                        break
                 else:
-                    items.append(Item(hi, iv))
-                    nodes.append((iv, (lo, hi, m), [False, True, None]))
-                closed = False  # the midpoint's verdict is unknown
+                    k_lo, k_mid, k_hi = reach[i_lo], reach[i_mid], reach[i_hi]
+            if tag is None and depth < max_depth:
+                nodes.append(n)
+                stack.append((m, hi, depth + 1, k_mid, k_hi))
+                stack.append((lo, m, depth + 1, k_lo, k_mid))
                 continue
-            r = radius_at(m)
-            k = (wn * r.denominator // (wd * r.numerator)).bit_length()
-            if depth >= k - 1:
+            if iv is None:
                 iv = _ordered_iv(lo, hi) if depth else domain
-                items.append(Item(m, iv))
-                nodes.append((iv, (lo, hi, m), [False, False, True]))
-                continue
-            if depth >= max_depth:
-                iv = _ordered_iv(lo, hi) if depth else domain
+            if tag is None:
                 raise DepthExhaustedError(
                     f"no acceptable tag for {iv} after {depth} bisections "
                     f"under gauge {gauge.name!r}",
                     interval=iv,
                 )
-            nodes.append(3)
-            stack.append((m, hi, depth + 1, k, k_hi))
-            stack.append((lo, m, depth + 1, k_lo, k))
-        return nodes, items, closed
-
-    def _record(self, nodes: list, items: list, closed: bool, rng) -> tuple:
-        """Keep a complete first build (a failed build leaves the tree
-        empty) and return its items."""
+            items.append(Item(tag, iv))
+            nodes.append((iv, cands, verdicts))
+        # only a complete first build is kept: a failed one leaves the tree empty
         items = tuple(items)
         self.nodes = nodes
         self.items = items if closed else None

@@ -196,11 +196,6 @@ def _cantor_classify(p: int, q: int):
     return ("gap", (Fraction(lo, scale), Fraction(hi, scale), n))
 
 
-def _cantor_locate(x: Fraction):
-    """``_cantor_classify`` of a Fraction x."""
-    return _cantor_classify(x.numerator, x.denominator)
-
-
 # ---------------------------------------------------------------------------
 # fat-Cantor locator: construction-tree walk
 # ---------------------------------------------------------------------------
@@ -265,11 +260,6 @@ def _svc_classify(p: int, q: int, depth_cap: int):
     )
 
 
-def _svc_locate(x: Fraction, depth_cap: int):
-    """``_svc_classify`` of a Fraction x."""
-    return _svc_classify(x.numerator, x.denominator, depth_cap)
-
-
 def _classify(kind: str, p: int, q: int, depth_cap: int):
     """Dispatch on x = p/q in lowest terms, which must lie in the kind's
     base interval, to the right locator."""
@@ -278,11 +268,6 @@ def _classify(kind: str, p: int, q: int, depth_cap: int):
     if kind == SVC:
         return _svc_classify(p, q, depth_cap)
     raise ValueError(f"unknown set kind {kind!r}")
-
-
-def _locate(kind: str, x: Fraction, depth_cap: int):
-    """``_classify`` of a Fraction x."""
-    return _classify(kind, x.numerator, x.denominator, depth_cap)
 
 
 @lru_cache(maxsize=200_000)

@@ -3,16 +3,17 @@
 Each function is the straightforward version of a fast path in gaugekit,
 written for clarity, not speed: memo keys are the Fraction points
 themselves, tests compare Fractions, and sums add Fraction terms one by
-one, each term a Fraction product with the cell's ``length``. The tests
-compare every fast path with its reference here.
+one, each term a Fraction product with the cell's ``length``; and
+``RadiusPassingTree`` grows the bisection on Fraction radii and ball tests.
+The tests compare every fast path with its reference here.
 """
 
 from fractions import Fraction as F
 from functools import lru_cache
 
-from gaugekit import sets
-from gaugekit.core import ValueWithError
-from gaugekit.errors import DomainError
+from gaugekit import core, sets
+from gaugekit.core import Item, Iv, PartitionTree, ValueWithError
+from gaugekit.errors import DepthExhaustedError, DomainError
 from gaugekit.funcs import point_set
 
 ZERO = F(0)
@@ -21,7 +22,7 @@ ONE = F(1)
 
 @lru_cache(maxsize=None)
 def _locate_keyed_on_fraction(kind, x, depth_cap):
-    return sets._locate(kind, x, depth_cap)
+    return sets._classify(kind, x.numerator, x.denominator, depth_cap)
 
 
 def locate_memo(s, x, depth_cap=None):
@@ -174,3 +175,62 @@ def cantor_fn(x):
         return F(2 * bits + 1, 1 << n)
     period = n - start
     return F(bits - (bits >> period), ((1 << period) - 1) << start)
+
+
+def _radius_passing_pick(iv, cands, verdicts, order, gauge, radii):
+    for j in order:
+        ok = verdicts[j]
+        if ok is None:
+            x = cands[j]
+            r = gauge.radius_at(x)
+            radii[j] = r
+            ok = verdicts[j] = x - r < iv.lo and iv.hi < x + r
+        if ok:
+            return cands[j]
+    return None
+
+
+class RadiusPassingTree(PartitionTree):
+    """``PartitionTree``'s first build with no integer reaches and one kind
+    of node: the suggested tags, lo, hi and the midpoint, deduplicated by
+    hashing, tried in ``core._order``; the Fraction radii at a node's
+    endpoints and midpoint pass down to its children, and every verdict is
+    the exact ball test. It never closes, so its replays walk the recorded
+    nodes."""
+
+    def _grow(self, rng):
+        domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
+        nodes = []
+        items = []
+        stack = [(domain, 0, None, None)]
+        while stack:
+            iv, depth, r_lo, r_hi = stack.pop()
+            lo, hi = iv.lo, iv.hi
+            m = (lo + hi) / 2
+            cands = tuple(dict.fromkeys(gauge.suggestions(iv) + (lo, hi, m)))
+            n = len(cands)
+            verdicts = [None] * n
+            radii = [None] * n
+            if r_lo is not None:
+                for x, r in ((lo, r_lo), (hi, r_hi)):
+                    j = cands.index(x)
+                    radii[j] = r
+                    verdicts[j] = x - r < lo and hi < x + r
+            order = core._order(n, rng)
+            tag = _radius_passing_pick(iv, cands, verdicts, order, gauge, radii)
+            if tag is not None:
+                items.append(Item(tag, iv))
+                nodes.append((iv, cands, verdicts))
+                continue
+            if depth >= max_depth:
+                raise DepthExhaustedError(
+                    f"no acceptable tag for {iv} after {depth} bisections "
+                    f"under gauge {gauge.name!r}",
+                    interval=iv,
+                )
+            nodes.append(n)
+            r_lo, r_mid, r_hi = (radii[cands.index(x)] for x in (lo, m, hi))
+            stack.append((Iv(m, hi), depth + 1, r_mid, r_hi))
+            stack.append((Iv(lo, m), depth + 1, r_lo, r_mid))
+        self.nodes = nodes
+        return items

@@ -179,17 +179,6 @@ def reference_square_fn(domain, name="square"):
                    deriv=lambda x: ValueWithError(2 * x))
 
 
-_GAUGE_INIT = Gauge.__init__
-
-
-def reference_gauge_init(self, *args, **kwargs):
-    """``Gauge``, with a tag oracle that offers nothing in place of none:
-    every first build takes the general walk."""
-    _GAUGE_INIT(self, *args, **kwargs)
-    if self.suggest_tag is None:
-        object.__setattr__(self, "suggest_tag", lambda iv: ())
-
-
 def reference_member(s, x, depth_cap=None):
     x = F(x)
     if x not in s.base:
@@ -852,8 +841,7 @@ def test_cli_outputs_match_reference_path(tmp_path, capsys, monkeypatch):
         mp.setattr(Iv, "__contains__", reference_iv_contains)
         mp.setattr(ValueWithError, "__init__", reference_vwe_init)
         mp.setattr(Gauge, "radius_at", reference_radius_at)
-        mp.setattr(Gauge, "__init__", reference_gauge_init)
-        mp.setattr(core.PartitionTree, "_grow_straight", _not_on_the_reference_path)
+        mp.setattr(core.PartitionTree, "_grow", oracle.RadiusPassingTree._grow)
         mp.setattr(FnSpec, "exact_kernel", _not_on_the_reference_path)
         mp.setattr(GeneratedFailureSet, "__contains__", reference_generated_contains)
         mp.setattr(FiniteFailureSet, "__contains__", reference_finite_contains)

@@ -297,8 +297,8 @@ def test_ftc_job_takes_no_cell_length(ftc_counts):
 
 
 # ---------------------------------------------------------------------------
-# calls of one ftc-square job: g, g' and f on integers, and a straight-line
-# first build
+# calls of one ftc-square job: g, g' and f on integers, and a first build in
+# the fixed-order step; radius calls of one cantor-variation job
 # ---------------------------------------------------------------------------
 
 FTC_NODES = 2 * FTC_CELLS - 1
@@ -325,7 +325,7 @@ def _count_calls(argv, functions, directory):
             with contextlib.redirect_stdout(io.StringIO()):
                 sys.setprofile(hook)
                 try:
-                    assert cli.main(list(FTC_JOB)) == 0
+                    assert cli.main(list(argv)) == 0
                 finally:
                     sys.setprofile(None)
     finally:
@@ -363,3 +363,11 @@ def test_ftc_job_builds_one_fraction_per_node(ftc_calls):
 
 def test_ftc_job_evaluates_each_radius_once(ftc_calls):
     assert ftc_calls["Gauge.radius_at"] == FTC_NODES + 2  # every midpoint, and the root's ends
+
+
+def test_cantor_job_evaluates_no_extra_radius(tmp_path):
+    # at most of this job's nodes the tag oracle offers nothing, so they take
+    # the fixed-order step; the job still makes the 11,229 radius calls it
+    # made when every node of an oracle gauge took the candidate step
+    calls = _count_calls(CANTOR_JOB, {"Gauge.radius_at": Gauge.radius_at}, tmp_path)
+    assert calls["Gauge.radius_at"] == 11_229

@@ -27,7 +27,6 @@ from gaugekit.core import (
     sample_partitions,
 )
 from gaugekit.errors import DepthExhaustedError, InvalidGaugeError, UndecidedError
-from gaugekit.funcs import FiniteFailureSet
 
 
 # ---------------------------------------------------------------------------
@@ -171,43 +170,6 @@ def test_replay_matches_reference_builds(case):
     assert [r for r, _ in new] == [r for r, _ in ref]
     for (_, evaluated), (_, ref_evaluated) in zip(new, ref):
         assert evaluated <= ref_evaluated
-
-
-def _first_build_then_replays(gauge, domain, max_depth, samples, seed, log):
-    """The tree after a first build and its replays: per step the outcome
-    (items, or the error's class, message and interval) and the radius
-    calls in order; then the tree's record and ``tags_agree_on``."""
-    tree = PartitionTree()
-    steps = []
-    S = FiniteFailureSet([domain.lo + domain.length * F(k, 4) for k in (0, 1, 3)])
-    rngs = [None] + [random.Random(seed + i) for i in range(samples)]
-    for rng in rngs + ["agree"]:
-        del log[:]
-        try:
-            if rng == "agree":
-                out = tree.tags_agree_on(S)
-            else:
-                out = cousin_partition(domain, gauge, max_depth, rng=rng, tree=tree).items
-        except (DepthExhaustedError, InvalidGaugeError, UndecidedError) as exc:
-            out = (type(exc), str(exc), getattr(exc, "interval", None))
-        steps.append((out, list(log)))
-    return steps, tree.nodes, tree.items, tree.first
-
-
-@settings(max_examples=300, deadline=None)
-@given(cases())
-def test_straight_line_build_matches_general_walk(case):
-    # one radius, built without a tag oracle (the straight-line branch, for
-    # a domain of positive width) and with one that offers nothing (the
-    # general walk): the same record, replays, errors and radius calls
-    domain, breaks, radii, poison, _, _, max_depth, samples, seed = case
-    log = []
-    plain = _logged_gauge(breaks, radii, poison, (), frozenset(), log)
-    walk = Gauge(radius=plain.radius, suggest_tag=lambda iv: (), name=plain.name)
-    new = _first_build_then_replays(plain, domain, max_depth, samples, seed, log)
-    ref = _first_build_then_replays(walk, domain, max_depth, samples, seed, log)
-    assert new == ref
-    assert (new[2] is None) == (ref[2] is None)  # closedness
 
 
 def test_poison_reached_by_some_shuffles_only():

@@ -235,63 +235,6 @@ def test_grow_matches_reference_grow(case):
 # ---------------------------------------------------------------------------
 
 
-def _radius_passing_pick(iv, cands, verdicts, order, gauge, radii):
-    for j in order:
-        ok = verdicts[j]
-        if ok is None:
-            x = cands[j]
-            r = gauge.radius_at(x)
-            radii[j] = r
-            ok = verdicts[j] = x - r < iv.lo and iv.hi < x + r
-        if ok:
-            return cands[j]
-    return None
-
-
-class RadiusPassingTree(PartitionTree):
-    """A partition tree grown by the builder that passes the Fraction radii
-    at a node's endpoints and midpoint down to its children and decides
-    every verdict by the exact ball test. It never closes, so its replays
-    walk the recorded nodes."""
-
-    def _grow(self, rng):
-        domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
-        nodes = []
-        items = []
-        stack = [(domain, 0, None, None)]
-        while stack:
-            iv, depth, r_lo, r_hi = stack.pop()
-            lo, hi = iv.lo, iv.hi
-            m = (lo + hi) / 2
-            cands = tuple(dict.fromkeys(gauge.suggestions(iv) + (lo, hi, m)))
-            n = len(cands)
-            verdicts = [None] * n
-            radii = [None] * n
-            if r_lo is not None:
-                for x, r in ((lo, r_lo), (hi, r_hi)):
-                    j = cands.index(x)
-                    radii[j] = r
-                    verdicts[j] = x - r < lo and hi < x + r
-            order = core._order(n, rng)
-            tag = _radius_passing_pick(iv, cands, verdicts, order, gauge, radii)
-            if tag is not None:
-                items.append(Item(tag, iv))
-                nodes.append((iv, cands, verdicts))
-                continue
-            if depth >= max_depth:
-                raise DepthExhaustedError(
-                    f"no acceptable tag for {iv} after {depth} bisections "
-                    f"under gauge {gauge.name!r}",
-                    interval=iv,
-                )
-            nodes.append(n)
-            r_lo, r_mid, r_hi = (radii[cands.index(x)] for x in (lo, m, hi))
-            stack.append((Iv(m, hi), depth + 1, r_mid, r_hi))
-            stack.append((Iv(lo, m), depth + 1, r_lo, r_mid))
-        self.nodes = nodes
-        return items
-
-
 def _threshold_gauge(domain, breaks, radii, poison, kinds, scope, log):
     """Piecewise-constant radius raising at the poison points, with an
     oracle that suggests the chosen kinds of points (``scope`` "left": only
@@ -364,24 +307,30 @@ def threshold_cases(draw):
 
 
 def _builds(tree_class, case):
-    """The first build and its replays: per build the items, or the error's
+    """The first build, its replays, a replay without an rng and then
+    ``tags_agree_on``: per step the items or the agreement, or the error's
     class, message (naming its point) and interval, and the points
     evaluated in order; the recorded nodes after the first build; the tree."""
     domain, breaks, radii, poison, kinds, scope, max_depth, first_seed, seeds = case
     log = []
     gauge = _threshold_gauge(domain, breaks, radii, poison, kinds, scope, log)
+    S = point_set([domain.lo + domain.length * F(k, 4) for k in (0, 1, 3)])
     tree = tree_class()
     rngs = [None if first_seed is None else random.Random(first_seed)]
     rngs += [random.Random(seed) for seed in seeds]
     out, nodes = [], None
-    for rng in rngs:
+    for rng in rngs + [None, "agree"]:
         del log[:]
         try:
-            part = core.cousin_partition(domain, gauge, max_depth, rng=rng, tree=tree)
+            if rng == "agree":
+                result = tree.tags_agree_on(S)
+            else:
+                result = core.cousin_partition(domain, gauge, max_depth, rng=rng,
+                                               tree=tree).items
         except GaugeKitError as exc:
             out.append(((type(exc), str(exc), getattr(exc, "interval", None)), list(log)))
             break
-        out.append((part.items, list(log)))
+        out.append((result, list(log)))
         if nodes is None:  # replays fill in verdicts; keep the first build's
             nodes = [n if n.__class__ is int else (n[0], n[1], list(n[2]))
                      for n in tree.nodes]
@@ -397,9 +346,9 @@ def _is_closed(nodes):
 @given(threshold_cases())
 def test_thresholds_match_radius_passing_grow(case):
     new, new_nodes, tree = _builds(PartitionTree, case)
-    ref, ref_nodes, _ = _builds(RadiusPassingTree, case)
-    # items or the first error, and every point evaluated, in order, in the
-    # first build and in each replay
+    ref, ref_nodes, _ = _builds(oracle.RadiusPassingTree, case)
+    # items, agreement or the first error, and every point evaluated, in
+    # order, in the first build, in each replay and in tags_agree_on
     assert new == ref
     # cells, candidates and verdicts of the first build
     assert new_nodes == ref_nodes
@@ -419,7 +368,7 @@ def test_thresholds_at_the_boundary():
     assert len(part) == 1024
     assert all(tag == cell.midpoint for tag, cell in part.items)
     assert tree.items is part.items
-    ref = core.cousin_partition(Iv(0, 1), g, tree=RadiusPassingTree())
+    ref = core.cousin_partition(Iv(0, 1), g, tree=oracle.RadiusPassingTree())
     assert ref.items == part.items
 
 

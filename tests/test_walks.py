@@ -179,13 +179,13 @@ class TestTernaryWalk:
     @settings(max_examples=600, deadline=None)
     @given(cantor_points)
     def test_locator_matches_reference(self, x):
-        _same(sets._cantor_locate(x), reference_cantor_locate(x))
+        _same(sets._cantor_classify(x.numerator, x.denominator), reference_cantor_locate(x))
 
     @settings(max_examples=300, deadline=None)
     @given(cantor_points)
     def test_reflected_locator_matches_reference(self, x):
         for y in (x, -x):
-            _same(sets._locate(sets.REFLECTED_CANTOR, y, 200),
+            _same(sets._classify(sets.REFLECTED_CANTOR, y.numerator, y.denominator, 200),
                   reference_locate(sets.REFLECTED_CANTOR, y, 200))
 
     @settings(max_examples=600, deadline=None)
@@ -196,7 +196,7 @@ class TestTernaryWalk:
     def test_edges(self):
         for x in (F(0), F(1), F(-1), F(1, 3), F(2, 3), F(-1, 3), F(1, 2), F(-1, 2),
                   F(1, 4), F(-3, 4), F(1, 9), F(8, 9), F(1, 13), F(1, 10**6)):
-            _same(sets._locate(sets.REFLECTED_CANTOR, x, 200),
+            _same(sets._classify(sets.REFLECTED_CANTOR, x.numerator, x.denominator, 200),
                   reference_locate(sets.REFLECTED_CANTOR, x, 200))
             if x >= 0:
                 _same(uncached_cantor_fn(x), reference_cantor_fn(x))
@@ -208,7 +208,7 @@ class TestFatCantorWalk:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(unit_rationals, dyadics), st.integers(1, 60))
     def test_locator_matches_reference(self, x, cap):
-        a = _outcome(sets._svc_locate, x, cap)
+        a = _outcome(sets._svc_classify, x.numerator, x.denominator, cap)
         b = _outcome(reference_svc_locate, x, cap)
         assert a == b
         assert repr(a) == repr(b)
@@ -229,7 +229,8 @@ class TestFatCantorWalk:
         # both find the same stage intervals below them
         cells = sets.realize(sets.svc(), depth)
         x = data.draw(st.sampled_from([pt for c in cells for pt in (c.lo, c.hi)]))
-        assert sets._svc_locate(x, 200) == reference_svc_locate(x, 200) == ("member", None)
+        assert (sets._svc_classify(x.numerator, x.denominator, 200)
+                == reference_svc_locate(x, 200) == ("member", None))
         stage = data.draw(st.integers(0, depth + 8))
         _same(sets.svc_stage_interval(x, stage), reference_svc_stage_interval(x, stage))
 
