@@ -8,10 +8,11 @@ constructible by bisection instead of merely existing.
 
 from __future__ import annotations
 
-import csv
+import gc
 import random
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._record import frozen_delattr, frozen_setattr, record
@@ -132,6 +133,16 @@ _set_lo = Iv.lo.__set__
 _set_hi = Iv.hi.__set__
 
 
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d of coprime ints n and d > 0, its two slots written
+    directly: ``Fraction(n, d)`` would check both types and divide by their
+    gcd again (Python 3.12 offers this as ``Fraction._from_coprime_ints``)."""
+    q = _new_object(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
 def _ordered_iv(lo: Fraction, hi: Fraction) -> Iv:
     """An Iv of two Fractions already known to be in order, without the
     coercion and order check of ``Iv.__init__``: the bisection's halves."""
@@ -210,11 +221,25 @@ _set_err = ValueWithError.err.__set__
 _set_convention = ValueWithError.convention.__set__
 
 
+def _exact_value(q: Fraction) -> ValueWithError:
+    """``ValueWithError(q)`` for a Fraction q, without the coercions and
+    the check of ``ValueWithError.__init__``."""
+    v = _new_object(ValueWithError)
+    _set_value(v, q)
+    _set_err(v, ZERO)
+    _set_convention(v, False)
+    return v
+
+
 class Item(NamedTuple):
     """One (tag, cell) pair of a tagged partition."""
 
     tag: Fraction
     cell: Iv
+
+
+# Item(tag, cell) without the Python frame of a NamedTuple's __new__
+_tuple_new = tuple.__new__
 
 
 @record
@@ -667,6 +692,15 @@ class PartitionTree:
         the midpoint (``_candidates``), tried lazily in the order
         ``_order`` gives; a suggested tag that is not an endpoint or the
         midpoint keeps the exact ball test (``_ball_holds``).
+
+        Each node's endpoints travel as Fractions and as their integer
+        pairs, and its midpoint is built from them with one gcd
+        (``_coprime_fraction``). A reach is computed only when the radius
+        is another object than the one whose reach was computed last: a
+        gauge that returns one radius object at many points, such as a
+        constant one, costs one reach. The cyclic collector is paused for
+        the walk, which keeps almost everything it allocates, and resumed
+        (if it was on) however the walk ends.
         """
         domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
         radius_at = gauge.radius_at
@@ -677,73 +711,101 @@ class PartitionTree:
         items = []
         closed = True
         sugg = ()  # a gauge without a tag oracle suggests nothing anywhere
-        stack = [(domain.lo, domain.hi, 0, None, None)]
-        while stack:
-            lo, hi, depth, k_lo, k_hi = stack.pop()
-            ld, hd = lo.denominator, hi.denominator
-            m = Fraction(lo.numerator * hd + hi.numerator * ld, 2 * ld * hd)
-            iv = tag = None
-            if oracle:
-                iv = _ordered_iv(lo, hi) if depth else domain
-                sugg = gauge.suggestions(iv)
-            if rng is None and k_lo is not None and not sugg:
-                n = 3
-                if depth >= k_lo:
-                    tag, cands, verdicts = lo, (lo, hi, m), [True, depth >= k_hi, None]
-                    closed = False  # the midpoint's verdict is unknown
-                elif depth >= k_hi:
-                    tag, cands, verdicts = hi, (lo, hi, m), [False, True, None]
-                    closed = False
+        last_r = k_r = None  # the latest radius object whose reach was taken
+        lo, hi = domain.lo, domain.hi
+        stack = [(lo, hi, lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+                  0, None, None)]
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
+        try:
+            while stack:
+                lo, hi, ln, ld, hn, hd, depth, k_lo, k_hi = stack.pop()
+                mn = ln * hd + hn * ld
+                md = 2 * ld * hd
+                g = gcd(mn, md)
+                mn //= g
+                md //= g
+                m = _new_object(Fraction)  # _coprime_fraction(mn, md), inlined
+                m._numerator = mn
+                m._denominator = md
+                iv = tag = None
+                if oracle:
+                    iv = _ordered_iv(lo, hi) if depth else domain
+                    sugg = gauge.suggestions(iv)
+                if rng is None and k_lo is not None and not sugg:
+                    n = 3
+                    if depth >= k_lo:
+                        tag, cands, verdicts = lo, (lo, hi, m), [True, depth >= k_hi, None]
+                        closed = False  # the midpoint's verdict is unknown
+                    elif depth >= k_hi:
+                        tag, cands, verdicts = hi, (lo, hi, m), [False, True, None]
+                        closed = False
+                    else:
+                        r = radius_at(m)
+                        if r is not last_r:
+                            last_r = r
+                            k_r = (wn * r.denominator // (wd * r.numerator)).bit_length()
+                        k_mid = k_r
+                        if depth >= k_mid - 1:
+                            tag, cands, verdicts = m, (lo, hi, m), [False, False, True]
                 else:
-                    r = radius_at(m)
-                    k_mid = (wn * r.denominator // (wd * r.numerator)).bit_length()
-                    if depth >= k_mid - 1:
-                        tag, cands, verdicts = m, (lo, hi, m), [False, False, True]
-            else:
-                cands, i_lo, i_hi, i_mid = _candidates(sugg, lo, hi, m)
-                n = len(cands)
-                offsets = [None] * n
-                offsets[i_lo] = offsets[i_hi] = 0
-                offsets[i_mid] = 1
-                verdicts = [None] * n
-                reach = [None] * n
-                if k_lo is not None:
-                    reach[i_lo], reach[i_hi] = k_lo, k_hi
-                    verdicts[i_lo], verdicts[i_hi] = depth >= k_lo, depth >= k_hi
-                for j in _order(n, rng):
-                    ok = verdicts[j]
-                    if ok is None:
-                        x = cands[j]
-                        r = radius_at(x)
-                        off = offsets[j]
-                        if off is None:
-                            ok = _ball_holds(x, r, lo, hi)
-                        else:
-                            k = reach[j] = (wn * r.denominator // (wd * r.numerator)).bit_length()
-                            ok = depth + off >= k
-                        verdicts[j] = ok
-                    if ok:
-                        tag = cands[j]
-                        if None in verdicts or verdicts.count(True) != 1:
-                            closed = False
-                        break
-                else:
-                    k_lo, k_mid, k_hi = reach[i_lo], reach[i_mid], reach[i_hi]
-            if tag is None and depth < max_depth:
-                nodes.append(n)
-                stack.append((m, hi, depth + 1, k_mid, k_hi))
-                stack.append((lo, m, depth + 1, k_lo, k_mid))
-                continue
-            if iv is None:
-                iv = _ordered_iv(lo, hi) if depth else domain
-            if tag is None:
-                raise DepthExhaustedError(
-                    f"no acceptable tag for {iv} after {depth} bisections "
-                    f"under gauge {gauge.name!r}",
-                    interval=iv,
-                )
-            items.append(Item(tag, iv))
-            nodes.append((iv, cands, verdicts))
+                    cands, i_lo, i_hi, i_mid = _candidates(sugg, lo, hi, m)
+                    n = len(cands)
+                    offsets = [None] * n
+                    offsets[i_lo] = offsets[i_hi] = 0
+                    offsets[i_mid] = 1
+                    verdicts = [None] * n
+                    reach = [None] * n
+                    if k_lo is not None:
+                        reach[i_lo], reach[i_hi] = k_lo, k_hi
+                        verdicts[i_lo], verdicts[i_hi] = depth >= k_lo, depth >= k_hi
+                    for j in _order(n, rng):
+                        ok = verdicts[j]
+                        if ok is None:
+                            x = cands[j]
+                            r = radius_at(x)
+                            off = offsets[j]
+                            if off is None:
+                                ok = _ball_holds(x, r, lo, hi)
+                            else:
+                                if r is not last_r:
+                                    last_r = r
+                                    k_r = (wn * r.denominator // (wd * r.numerator)).bit_length()
+                                reach[j] = k_r
+                                ok = depth + off >= k_r
+                            verdicts[j] = ok
+                        if ok:
+                            tag = cands[j]
+                            if None in verdicts or verdicts.count(True) != 1:
+                                closed = False
+                            break
+                    else:
+                        k_lo, k_mid, k_hi = reach[i_lo], reach[i_mid], reach[i_hi]
+                if tag is None and depth < max_depth:
+                    nodes.append(n)
+                    depth += 1
+                    stack.append((m, hi, mn, md, hn, hd, depth, k_mid, k_hi))
+                    stack.append((lo, m, ln, ld, mn, md, depth, k_lo, k_mid))
+                    continue
+                if iv is None:
+                    if depth:  # _ordered_iv(lo, hi), inlined
+                        iv = _new_object(Iv)
+                        _set_lo(iv, lo)
+                        _set_hi(iv, hi)
+                    else:
+                        iv = domain
+                if tag is None:
+                    raise DepthExhaustedError(
+                        f"no acceptable tag for {iv} after {depth} bisections "
+                        f"under gauge {gauge.name!r}",
+                        interval=iv,
+                    )
+                items.append(_tuple_new(Item, (tag, iv)))
+                nodes.append((iv, cands, verdicts))
+        finally:
+            if collecting:
+                gc.enable()
         # only a complete first build is kept: a failed one leaves the tree empty
         items = tuple(items)
         self.nodes = nodes
@@ -993,6 +1055,8 @@ def dump_partition_csv(path, p: TaggedPartition, gauge: Optional[Gauge] = None, 
     All rationals are serialized as 'num/den'; missing gauge or function
     leaves the corresponding column empty.
     """
+    import csv
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["tag", "cell_lo", "cell_hi", "radius_at_tag", "f_at_tag"])

@@ -101,7 +101,8 @@ def proof_gauge(inst: CovInstance, eps) -> Gauge:
     conditional-variation gauge on B.
 
     With B empty and no tag oracle on B's gauge there is nothing to
-    suggest, so the gauge has no oracle and the builder skips it."""
+    suggest, so the gauge has no oracle and the builder skips it; an empty
+    B is not asked about each radius point either."""
     eps = Fraction(eps)
     if inst.fog.modulus is None:
         raise UnsupportedInstanceError(
@@ -111,21 +112,30 @@ def proof_gauge(inst: CovInstance, eps) -> Gauge:
     on_b = inst.ncv_gauge(eps)
     half = eps / 2
     B, modulus, on_b_radius = inst.B, inst.fog.modulus, on_b.radius_at
+    b_empty = B is EMPTY_FAILURE
+    last = (None, None)  # the latest modulus object and its radius
 
     def radius(x):
+        nonlocal last
         if x.__class__ is not Fraction:
             x = Fraction(x)
-        if x in B:
+        if not b_empty and x in B:
             return on_b_radius(x)
         r = modulus(x, half)
+        seen, out = last
+        if r is seen:  # a modulus constant in x returns one object
+            return out
         if r.__class__ is Fraction:  # a positive denominator: r > 1 on integers
-            return ONE if r.numerator > r.denominator else r
-        return min(r, ONE)
+            out = ONE if r.numerator > r.denominator else r
+        else:
+            out = min(r, ONE)
+        last = (r, out)
+        return out
 
     def suggest(iv):
         return B.suggestion_points(iv) + on_b.suggestions(iv)
 
-    if B is EMPTY_FAILURE and on_b.suggest_tag is None:
+    if b_empty and on_b.suggest_tag is None:
         suggest = None
     return Gauge(radius=radius, suggest_tag=suggest, name=f"cov({inst.name})")
 
@@ -150,19 +160,20 @@ def _integrand(inst: CovInstance):
     failure set, where g' is 0 but g(x) is still evaluated, and g's
     derivative (``FnSpec.deriv_at``), f's domain at g(x) by
     cross-products (the ``DomainError`` of ``FnSpec.__call__``), an inexact
-    g(x). Where g or f has an exact kernel (``FnSpec.exact_kernel``), its
-    value and derivative are taken on integers, with no Fraction and no
-    ValueWithError.
+    g(x). An empty B or failure set of g is not asked. Where g or f has an
+    exact kernel (``FnSpec.exact_kernel``), its value and derivative are
+    taken on integers, with no Fraction and no ValueWithError.
     """
     B, f, g = inst.B, inst.f, inst.g
     g_kernel, f_kernel = g.exact_kernel(), f.exact_kernel()
     g_eval, g_deriv_at, g_fails = g.eval, g.deriv_at, g.failure_set
+    b_empty, g_smooth = B is EMPTY_FAILURE, g_fails is EMPTY_FAILURE
     f_eval = f.eval
     f_lo, f_hi = f.domain.lo, f.domain.hi
     fln, fld, fhn, fhd = f_lo.numerator, f_lo.denominator, f_hi.numerator, f_hi.denominator
 
     def factors(x):
-        if x in B:
+        if not b_empty and x in B:
             return None
         if g_kernel is None:
             gp = _int_factor(g_deriv_at(x))
@@ -171,7 +182,7 @@ def _integrand(inst: CovInstance):
             un, ud = u.numerator, u.denominator
         else:
             (un, ud), (dn, dd) = g_kernel(x.numerator, x.denominator)
-            gp = _CONVENTION if x in g_fails else (dn, dd, 0, 1)
+            gp = _CONVENTION if not g_smooth and x in g_fails else (dn, dd, 0, 1)
             gv = None
         if not (fln * ud <= un * fld and un * fhd <= fhn * ud):
             raise f.domain_error(Fraction(un, ud))

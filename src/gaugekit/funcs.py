@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from . import sets
 from ._record import record
-from .core import Iv, ValueWithError, rat_str
+from .core import Iv, ValueWithError, _coprime_fraction, _exact_value, rat_str
 from .errors import DomainError, UnsupportedInstanceError
 
 ZERO = Fraction(0)
@@ -397,13 +397,15 @@ def kernel_fns(kernel) -> dict:
         if x.__class__ is not Fraction:
             x = Fraction(x)
         (vn, vd), _ = kernel(x.numerator, x.denominator)
-        return ValueWithError(Fraction(vn, vd))
+        g = math.gcd(vn, vd)
+        return _exact_value(_coprime_fraction(vn // g, vd // g))
 
     def deriv(x):
         if x.__class__ is not Fraction:
             x = Fraction(x)
         _, (dn, dd) = kernel(x.numerator, x.denominator)
-        return ValueWithError(Fraction(dn, dd))
+        g = math.gcd(dn, dd)
+        return _exact_value(_coprime_fraction(dn // g, dd // g))
 
     ev.__wrapped__ = deriv.__wrapped__ = kernel
     return {"eval": ev, "deriv": deriv}

@@ -31,7 +31,7 @@ from .core import (
     sample_partitions,
 )
 from .errors import UnsupportedInstanceError
-from .funcs import FiniteFailureSet, FnSpec, GeneratedFailureSet, point_set
+from .funcs import EMPTY_FAILURE, FiniteFailureSet, FnSpec, GeneratedFailureSet, point_set
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,10 +51,12 @@ def variation_sums(f, p: TaggedPartition, E) -> Tuple[ValueWithError, ValueWithE
 def _variation_sums(f, S, parts):
     """Yield ``(partition, variation_sums(f, partition, S))`` for partitions
     replayed from one tree, resumming only the cells whose tag changed.
-    Each increment is one unreduced numerator and denominator."""
+    Each increment is one unreduced numerator and denominator. An empty
+    ``S`` is asked nothing, but every partition is still drawn."""
+    empty = S is EMPTY_FAILURE
 
     def term(tag, cell):
-        if tag not in S:
+        if empty or tag not in S:
             return None
         hi = f(cell.hi)
         lo = f(cell.lo)

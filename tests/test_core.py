@@ -1,9 +1,13 @@
 """Partition, gauge and Riemann-sum machinery."""
 
+import gc
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugekit import (
     Gauge,
@@ -18,14 +22,14 @@ from gaugekit import (
     riemann_sum,
     validate_partition,
 )
-from gaugekit.core import PartitionTree, ValueWithError, sample_partitions
+from gaugekit.core import PartitionTree, ValueWithError, rat_str, sample_partitions
 from gaugekit.errors import (
     DepthExhaustedError,
     InvalidGaugeError,
     PartitionMergeError,
     UndecidedError,
 )
-from gaugekit import funcs, sets, variation
+from gaugekit import core, funcs, sets, variation
 
 
 def part(items, domain):
@@ -449,6 +453,137 @@ class TestWorkCounts:
         )
         assert 0 < changed < 4 * cells
         assert len(calls) == cells + 2 * changed
+
+
+# ---------------------------------------------------------------------------
+# Fractions built from coprime integer pairs
+# ---------------------------------------------------------------------------
+
+# zero, small and very large (> 2^64) numerators of both signs over small
+# and very large denominators
+numerators = st.one_of(
+    st.just(0),
+    st.integers(-10**6, 10**6),
+    st.integers(2**64 + 1, 2**200).flatmap(lambda n: st.sampled_from((n, -n))),
+)
+denominators = st.one_of(st.integers(1, 10**6), st.integers(2**64 + 1, 2**200))
+
+
+def _coprime(n, d):
+    """n/d by one gcd and ``core._coprime_fraction``, as the builder and
+    the kernels build it."""
+    g = gcd(n, d)
+    return core._coprime_fraction(n // g, d // g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerators, denominators, numerators, denominators)
+def test_coprime_fraction_is_the_fraction(n, d, n2, d2):
+    q, ref = _coprime(n, d), F(n, d)
+    other, other_ref = _coprime(n2, d2), F(n2, d2)
+    assert type(q) is F
+    assert (q.numerator, q.denominator) == (ref.numerator, ref.denominator)
+    assert type(q.numerator) is int and type(q.denominator) is int
+    assert q == ref and hash(q) == hash(ref)
+    assert repr(q) == repr(ref) and str(q) == str(ref) and rat_str(q) == rat_str(ref)
+    assert {q: 1}[ref] == 1
+    assert type(q + other) is type(q - other) is type(q * other) is F
+    assert q + other == ref + other_ref and q - other == ref - other_ref
+    assert q * other == ref * other_ref
+    assert q + 1 == ref + 1 and 3 * q == 3 * ref and -q == -ref and abs(q) == abs(ref)
+    if n2:
+        assert q / other == ref / other_ref
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        assert getattr(q, op)(other) == getattr(ref, op)(other_ref)
+        assert getattr(q, op)(0) == getattr(ref, op)(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(numerators, denominators, st.integers(1, 2**70))
+def test_kernel_results_are_reduced_fractions(n, d, k):
+    # a kernel may return unreduced pairs: eval and deriv reduce them
+    fns = funcs.kernel_fns(lambda n, d: ((n * k, d * k), (-n * k, d)))
+    x = F(n, d)
+    for got, want in ((fns["eval"](x), ValueWithError(x)),
+                      (fns["deriv"](x), ValueWithError(-x * k))):
+        assert got == want and type(got.value) is F
+        assert (got.value.numerator, got.value.denominator) == (
+            want.value.numerator, want.value.denominator)
+
+
+# ---------------------------------------------------------------------------
+# the collector is paused for a first build, and only for it
+# ---------------------------------------------------------------------------
+
+
+def _interrupted():
+    """A gauge whose third radius call raises KeyboardInterrupt."""
+    calls = []
+
+    def radius(x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return F(1, 1000)
+
+    return Gauge(radius=radius, name="interrupted")
+
+
+# a first build that raises, and one that completes
+FIRST_BUILDS = {
+    "depth": (lambda: (Iv(0, 1), constant_gauge(F(1, 1000)), 3), DepthExhaustedError),
+    "invalid": (lambda: (Iv(0, 1), Gauge(radius=lambda x: F(0), name="zero"), None),
+                InvalidGaugeError),
+    # dist:S over [1/3, 1] cannot decide whether 2/3 lies in S
+    "undecided": (lambda: (Iv(F(1, 3), 1), variation.gauge_dist_complement(sets.svc()), None),
+                  UndecidedError),
+    "interrupt": (lambda: (Iv(0, 1), _interrupted(), None), KeyboardInterrupt),
+    "complete": (lambda: (Iv(0, 1), constant_gauge(F(1, 1000)), None), None),
+}
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after the test."""
+    was = gc.isenabled()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+@pytest.mark.parametrize("case", sorted(FIRST_BUILDS))
+def test_first_build_restores_the_collector(case, enabled, collector):
+    make, error = FIRST_BUILDS[case]
+    domain, gauge, max_depth = make()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if error is None:
+        cousin_partition(domain, gauge, max_depth=max_depth, tree=PartitionTree())
+    else:
+        with pytest.raises(error):
+            cousin_partition(domain, gauge, max_depth=max_depth, tree=PartitionTree())
+    assert gc.isenabled() is enabled
+
+
+def test_first_build_runs_no_collection(collector):
+    # the generation-0 collections counted at each radius call; once the
+    # collector is back on, the next allocation may run one collection
+    seen = []
+    r = F(1, 5000)
+
+    def radius(x):
+        seen.append(gc.get_stats()[0]["collections"])
+        return r
+
+    gc.enable()
+    part = cousin_partition(Iv(0, 1), Gauge(radius=radius, name="const"), tree=PartitionTree())
+    assert len(part) == 2**12 and len(seen) == 2**13 + 1
+    assert min(seen) == max(seen)
 
 
 def _counted(method, counts, name):

@@ -341,6 +341,7 @@ def ftc_calls(tmp_path_factory):
         "ValueWithError.__init__": core.ValueWithError.__init__,
         "Iv.__contains__": Iv.__contains__,
         "Gauge.radius_at": Gauge.radius_at,
+        "EmptyFailureSet.__contains__": funcs.EmptyFailureSet.__contains__,
     }, tmp_path_factory.mktemp("ftc-calls"))
 
 
@@ -356,9 +357,17 @@ def test_ftc_job_checks_no_interval_per_tag(ftc_calls):
     assert ftc_calls["Iv.__contains__"] <= 16  # 8,196 with two domain checks per tag
 
 
-def test_ftc_job_builds_one_fraction_per_node(ftc_calls):
-    # each node's midpoint; 16,478 with g(x) and g'(x) as Fractions
-    assert ftc_calls["Fraction.__new__"] <= FTC_NODES + 256
+def test_ftc_job_builds_no_fraction_per_node(ftc_calls):
+    # the midpoints are built from their integer pairs, without
+    # Fraction.__new__; 8,299 with one Fraction(n, d) per node, 16,478 with
+    # g(x) and g'(x) as Fractions too
+    assert ftc_calls["Fraction.__new__"] <= 256
+
+
+def test_ftc_job_asks_no_empty_set(ftc_calls):
+    # B and g's failure set are empty: 20,481 calls when the proof gauge's
+    # radius, the integrand and the NCV sums asked them at every point
+    assert ftc_calls["EmptyFailureSet.__contains__"] == 0
 
 
 def test_ftc_job_evaluates_each_radius_once(ftc_calls):

@@ -235,11 +235,12 @@ def test_grow_matches_reference_grow(case):
 # ---------------------------------------------------------------------------
 
 
-def _threshold_gauge(domain, breaks, radii, poison, kinds, scope, log):
+def _threshold_gauge(domain, breaks, radii, poison, kinds, scope, fresh, log):
     """Piecewise-constant radius raising at the poison points, with an
     oracle that suggests the chosen kinds of points (``scope`` "left": only
     in cells left of the domain's midpoint, so one tree mixes cells with
-    and without suggestions)."""
+    and without suggestions). Each piece returns one shared radius object,
+    except where ``fresh`` (see ``_fresh_radius``) makes a new one."""
 
     def radius(x):
         log.append(x)
@@ -247,7 +248,7 @@ def _threshold_gauge(domain, breaks, radii, poison, kinds, scope, log):
             if poison[x] == "undecided":
                 raise UndecidedError(f"undecided at {x}", bounds=(x, x))
             raise ValueError(f"poisoned at {x}")
-        return radii[sum(1 for b in breaks if x >= b)]
+        return _fresh_radius(radii[sum(1 for b in breaks if x >= b)], x, fresh)
 
     def suggest(iv):
         if scope == "left" and iv.hi > domain.midpoint:
@@ -267,6 +268,20 @@ def _threshold_gauge(domain, breaks, radii, poison, kinds, scope, log):
 
     oracle = None if scope == "none" else suggest
     return Gauge(radius=radius, suggest_tag=oracle, name="thresholds")
+
+
+def _fresh_radius(r, x, fresh):
+    """r, or a new Fraction object at the points x whose numerator is
+    1 or 2 mod 3: ``fresh`` is None (r everywhere) or a pair of how to
+    make it at those two kinds of points, each "equal" (r's value) or
+    another radius (its value)."""
+    k = x.numerator % 3
+    if fresh is None or not k:
+        return r
+    make = fresh[k - 1]
+    if make == "equal":
+        make = r
+    return F(make.numerator, make.denominator)
 
 
 @st.composite
@@ -290,6 +305,9 @@ def threshold_cases(draw):
     grid = [domain.lo + width * F(k, 2**j) for j in range(5) for k in range(2**j + 1)]
     breaks = tuple(sorted(draw(st.lists(st.sampled_from(grid), max_size=3))))
     radii = tuple(draw(radius) for _ in range(len(breaks) + 1))
+    # the builder computes a reach once per radius object: shared objects,
+    # equal copies and other values at alternating points
+    fresh = draw(st.one_of(st.none(), st.tuples(*[st.one_of(st.just("equal"), radius)] * 2)))
     # poison points off the root's candidates, so that most builds get
     # past the root and some raise only in replays
     inner = [x for x in grid if x not in (domain.lo, domain.hi, domain.midpoint)] or grid
@@ -302,7 +320,7 @@ def threshold_cases(draw):
     max_depth = draw(st.integers(1, 8))
     first_seed = draw(st.one_of(st.none(), st.integers(0, 2**32)))
     replay_seeds = draw(st.lists(st.integers(0, 2**32), max_size=4))
-    return (domain, breaks, radii, poison, kinds, scope, max_depth, first_seed,
+    return (domain, breaks, radii, poison, kinds, scope, fresh, max_depth, first_seed,
             replay_seeds)
 
 
@@ -311,9 +329,9 @@ def _builds(tree_class, case):
     ``tags_agree_on``: per step the items or the agreement, or the error's
     class, message (naming its point) and interval, and the points
     evaluated in order; the recorded nodes after the first build; the tree."""
-    domain, breaks, radii, poison, kinds, scope, max_depth, first_seed, seeds = case
+    domain, breaks, radii, poison, kinds, scope, fresh, max_depth, first_seed, seeds = case
     log = []
-    gauge = _threshold_gauge(domain, breaks, radii, poison, kinds, scope, log)
+    gauge = _threshold_gauge(domain, breaks, radii, poison, kinds, scope, fresh, log)
     S = point_set([domain.lo + domain.length * F(k, 4) for k in (0, 1, 3)])
     tree = tree_class()
     rngs = [None if first_seed is None else random.Random(first_seed)]

@@ -60,6 +60,13 @@ def test_probe_loads_neither_dataclasses_nor_inspect():
     assert out.strip() == "[]"
 
 
+def test_neither_the_probe_nor_core_loads_csv():
+    # only the commands that write a CSV import it
+    for code in (PROBE, "import gaugekit.core"):
+        out = python("-c", code + "; import sys; print('csv' in sys.modules)").stdout
+        assert out.strip() == "False", code
+
+
 def test_probe_compiles_little_generated_source():
     count = int(python("-c", COUNT_COMPILES.format(probe=PROBE)).stdout)
     assert count <= MAX_GENERATED_COMPILES
