@@ -340,7 +340,7 @@ def cmd_counterexample(args) -> int:
     if args.points:
         xs = sets.endpoint_sample(sets.svc(), depth, args.points, seed=args.seed)
     else:
-        xs = (sets.stage_endpoints(sets.svc(), depth)[args.x_index],)
+        xs = (sets.stage_endpoint(sets.svc(), depth, args.x_index),)
     prec = Fraction(float(args.prec))
     checks = [covmod.svc_composition_check(args.n, x, prec) for x in xs]
     all_ok = all(c.ok for c in checks)
@@ -491,12 +491,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cap = os.environ.get("GAUGEKIT_DEPTH_CAP")
-    if cap:
-        set_default_max_depth(int(cap))
-        sets.set_depth_cap(int(cap))
     args = build_parser().parse_args(argv)
     try:
+        cap = os.environ.get("GAUGEKIT_DEPTH_CAP")
+        if cap:
+            # both setters reject a cap below 1 before they set it
+            try:
+                set_default_max_depth(int(cap))
+                sets.set_depth_cap(int(cap))
+            except ValueError as exc:
+                raise ValueError(f"GAUGEKIT_DEPTH_CAP={cap!r}: {exc}") from None
         return args.fn_impl(args)
     except SystemExitCode as exc:
         print(f"error: {exc}", file=sys.stderr)

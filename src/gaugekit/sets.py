@@ -32,7 +32,8 @@ SVC = "svc"
 # return certified bounds instead of an exact answer.
 DEPTH_CAP_DEFAULT = 200
 
-# realize() materializes 2^depth cells; refuse to allocate absurd amounts.
+# realize() materializes 2^depth cells; refuse to allocate absurd amounts,
+# and look up no endpoint of a stage it would refuse.
 REALIZE_DEPTH_LIMIT = 24
 
 
@@ -73,44 +74,39 @@ class ComponentRef:
     depth_created: int
 
 
-def _cantor_cells(depth: int) -> Tuple[Iv, ...]:
-    cells = (Iv(0, 1),)
-    for _ in range(depth):
-        nxt = []
-        for c in cells:
-            w = c.length / 3
-            nxt.append(Iv(c.lo, c.lo + w))
-            nxt.append(Iv(c.hi - w, c.hi))
-        cells = tuple(nxt)
-    return cells
-
-
-def _svc_cells(depth: int) -> Tuple[Iv, ...]:
-    cells = (Iv(0, 1),)
-    for step in range(1, depth + 1):
-        half = Fraction(1, 4**step) / 2
-        nxt = []
-        for c in cells:
-            m = c.midpoint
-            nxt.append(Iv(c.lo, m - half))
-            nxt.append(Iv(m + half, c.hi))
-        cells = tuple(nxt)
-    return cells
-
-
-@lru_cache(maxsize=None)
-def _realize_cached(kind: str, depth: int) -> Tuple[Iv, ...]:
-    if kind == TERNARY_CANTOR:
-        return _cantor_cells(depth)
-    if kind == SVC:
-        return _svc_cells(depth)
+def _endpoint_count(kind: str, depth: int) -> int:
+    """The number of cell endpoints in the depth-n stage of ``kind``."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > REALIZE_DEPTH_LIMIT:
+        raise ValueError(f"realize depth {depth} exceeds limit {REALIZE_DEPTH_LIMIT}")
+    if kind == TERNARY_CANTOR or kind == SVC:
+        return 2 << depth
     if kind == REFLECTED_CANTOR:
-        right = _cantor_cells(depth)
-        left = tuple(Iv(-c.hi, -c.lo) for c in reversed(right))
-        # the two cells meeting at 0 merge into one
-        merged = Iv(left[-1].lo, right[0].hi)
-        return left[:-1] + (merged,) + right[1:]
+        # C's endpoints but 0, mirrored, then as they are
+        return (4 << depth) - 2
     raise ValueError(f"unknown set kind {kind!r}")
+
+
+def _endpoint(kind: str, depth: int, k: int) -> Fraction:
+    """Endpoint k, 0 <= k < ``_endpoint_count``, of the depth-n stage, in O(n)
+    integer steps. It is end k & 1 of cell i = k >> 1, whose low end lo
+    takes the right child at step s where bit n − s of i is 1. C's cells
+    have width 1 on the scale 3^n, and a step maps lo to 3·lo or 3·lo + 2,
+    so lo is i's binary digits read in base 3, doubled. S's have width
+    2^(n+2) + 4 on ``_svc_walk``'s scale 2^(2n+3), and step s adds 2^s + 3
+    to lo for a right child, then shifts lo left by 2, so lo is 2^(n+2)·i
+    plus 12 times i's binary digits read in base 4."""
+    sign = 1
+    if kind == REFLECTED_CANTOR:
+        h = (2 << depth) - 1
+        kind = TERNARY_CANTOR
+        sign, k = (-1, h - k) if k < h else (1, k - h + 1)
+    i, end = k >> 1, k & 1
+    if kind == TERNARY_CANTOR:
+        return Fraction(sign * (2 * int(f"{i:b}", 3) + end), 3**depth)
+    lo = (i << (depth + 2)) + 12 * int(f"{i:b}", 4)
+    return Fraction(lo + end * ((1 << (depth + 2)) + 4), 1 << (2 * depth + 3))
 
 
 def realize(s: GeneratedSet, depth: int) -> Tuple[Iv, ...]:
@@ -119,13 +115,8 @@ def realize(s: GeneratedSet, depth: int) -> Tuple[Iv, ...]:
     For the one-sided kinds this is 2^depth cells; the reflected kind merges
     the pair meeting at 0 and yields 2^(depth+1) − 1 maximal cells.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > REALIZE_DEPTH_LIMIT:
-        raise ValueError(
-            f"realize depth {depth} exceeds limit {REALIZE_DEPTH_LIMIT}"
-        )
-    return _realize_cached(s.kind, depth)
+    ends = [_endpoint(s.kind, depth, k) for k in range(_endpoint_count(s.kind, depth))]
+    return tuple(map(Iv, ends[::2], ends[1::2]))
 
 
 def measure_at(s: GeneratedSet, depth: int) -> Fraction:
@@ -369,24 +360,25 @@ def svc_stage_interval(x, depth: int) -> Iv:
     return Iv(*data)
 
 
-def stage_endpoints(s: GeneratedSet, depth: int) -> list:
-    """The endpoints of the depth-n stage's cells (all limit-set members),
-    in strictly increasing order: ``realize``'s cells are sorted, with a
-    gap between neighbours, so the flat list of their ends needs no sort."""
-    return [pt for c in realize(s, depth) for pt in (c.lo, c.hi)]
+def stage_endpoint(s: GeneratedSet, depth: int, k: int) -> Fraction:
+    """Entry k of the depth-n stage's cell endpoints (all limit-set
+    members) in increasing order, for −N <= k < N as a sequence of the N
+    endpoints takes it. It costs O(depth) integer steps and builds no cell."""
+    n = _endpoint_count(s.kind, depth)
+    if not -n <= k < n:
+        raise ValueError(f"endpoint index {k} out of range for the {n} endpoints "
+                         f"of the depth-{depth} stage of {s.kind}")
+    return _endpoint(s.kind, depth, k % n)
 
 
 def endpoint_sample(s: GeneratedSet, depth: int, count: int, seed: int = 0):
-    """Seeded sample of realization-stage endpoints, in increasing order."""
+    """Seeded sample of stage endpoints, in increasing order: ``count``
+    endpoint indices drawn by ``random.sample``, or all of them."""
     import random
 
-    pool = stage_endpoints(s, depth)
-    if count >= len(pool):
-        return tuple(pool)
-    # random.sample picks positions from the population's length alone, so
-    # sampling positions picks what sampling the points would
-    picked = random.Random(seed).sample(range(len(pool)), count)
-    return tuple(pool[k] for k in sorted(picked))
+    n = _endpoint_count(s.kind, depth)
+    picked = range(n) if count >= n else sorted(random.Random(seed).sample(range(n), count))
+    return tuple(_endpoint(s.kind, depth, k) for k in picked)
 
 
 def dump_realization_csv(path, s: GeneratedSet, depth: int) -> None:

@@ -76,6 +76,14 @@ COMMANDS = (
     # a sampled fat-Cantor endpoint pool
     ("counterexample-sample", ("counterexample", "--svc", "-n", "20", "--points", "200",
                                "--endpoint-depth", "10", "--seed", "3")),
+    # single fat-Cantor endpoints by index: the last one (1/1), an inner one
+    # (1997/8192), and one past the stage depth limit (exit 1)
+    ("counterexample-last", ("counterexample", "--svc", "-n", "4", "--x-index", "-1",
+                             "--endpoint-depth", "6")),
+    ("counterexample-index", ("counterexample", "--svc", "-n", "4", "--x-index", "37",
+                              "--endpoint-depth", "6")),
+    ("exit1-endpoint-depth", ("counterexample", "--svc", "-n", "4", "--x-index", "0",
+                              "--endpoint-depth", "25")),
     # one command per failure exit code
     ("exit1-ftc-mismatch", ("ftc", "--fn", "cantor", "--domain", "0", "1",
                             "--seed", "5", "--expect", "holds")),

@@ -3,13 +3,17 @@
 Each function is the straightforward version of a fast path in gaugekit,
 written for clarity, not speed: memo keys are the Fraction points
 themselves, tests compare Fractions, and sums add Fraction terms one by
-one, each term a Fraction product with the cell's ``length``; and
-``RadiusPassingTree`` grows the bisection on Fraction radii and ball tests.
-The tests compare every fast path with its reference here.
+one, each term a Fraction product with the cell's ``length``;
+``RadiusPassingTree`` grows the bisection on Fraction radii and ball tests;
+and ``realize`` builds each construction stage by stage from Fraction
+midpoints and thirds. The tests compare every fast path with its reference
+here.
 """
 
+from fractions import Fraction
 from fractions import Fraction as F
 from functools import lru_cache
+from typing import Tuple
 
 from gaugekit import core, sets
 from gaugekit.core import Item, Iv, PartitionTree, ValueWithError
@@ -234,3 +238,51 @@ class RadiusPassingTree(PartitionTree):
             stack.append((Iv(lo, m), depth + 1, r_lo, r_mid))
         self.nodes = nodes
         return items
+
+
+def _cantor_cells(depth: int) -> Tuple[Iv, ...]:
+    cells = (Iv(0, 1),)
+    for _ in range(depth):
+        nxt = []
+        for c in cells:
+            w = c.length / 3
+            nxt.append(Iv(c.lo, c.lo + w))
+            nxt.append(Iv(c.hi - w, c.hi))
+        cells = tuple(nxt)
+    return cells
+
+
+def _svc_cells(depth: int) -> Tuple[Iv, ...]:
+    cells = (Iv(0, 1),)
+    for step in range(1, depth + 1):
+        half = Fraction(1, 4**step) / 2
+        nxt = []
+        for c in cells:
+            m = c.midpoint
+            nxt.append(Iv(c.lo, m - half))
+            nxt.append(Iv(m + half, c.hi))
+        cells = tuple(nxt)
+    return cells
+
+
+@lru_cache(maxsize=None)
+def _realize(kind, depth):
+    if kind == sets.TERNARY_CANTOR:
+        return _cantor_cells(depth)
+    if kind == sets.SVC:
+        return _svc_cells(depth)
+    right = _cantor_cells(depth)
+    left = tuple(Iv(-c.hi, -c.lo) for c in reversed(right))
+    # the two cells meeting at 0 merge into one
+    merged = Iv(left[-1].lo, right[0].hi)
+    return left[:-1] + (merged,) + right[1:]
+
+
+def realize(s, depth):
+    """``sets.realize``: the stage built level by level, on Fractions."""
+    return _realize(s.kind, depth)
+
+
+def stage_endpoints(s, depth):
+    """The flat list of ``realize``'s cell ends, the stage's endpoint pool."""
+    return [pt for c in realize(s, depth) for pt in (c.lo, c.hi)]

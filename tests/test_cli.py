@@ -3,7 +3,12 @@
 import csv
 import json
 import os
+import random
 
+import pytest
+
+import oracle
+from gaugekit import core, sets
 from gaugekit.cli import main
 
 
@@ -14,6 +19,13 @@ def run(tmp_path, *argv):
         return main(list(argv))
     finally:
         os.chdir(cwd)
+
+
+def keep_caps(monkeypatch):
+    """Restore both depth caps after the test; return their values."""
+    monkeypatch.setattr(core, "MAX_DEPTH_DEFAULT", core.MAX_DEPTH_DEFAULT)
+    monkeypatch.setattr(sets, "DEPTH_CAP_DEFAULT", sets.DEPTH_CAP_DEFAULT)
+    return core.MAX_DEPTH_DEFAULT, sets.DEPTH_CAP_DEFAULT
 
 
 def load(tmp_path, name):
@@ -83,20 +95,25 @@ class TestPartition:
         for row in rows[1:]:
             assert all("/" in cell for cell in row)
 
-    def test_depth_cap_failure_exit_3(self, tmp_path):
-        os.environ["GAUGEKIT_DEPTH_CAP"] = "3"
-        try:
-            code = run(
-                tmp_path, "partition", "--domain", "0", "1", "--gauge", "const:1/100"
-            )
-        finally:
-            del os.environ["GAUGEKIT_DEPTH_CAP"]
-            from gaugekit.core import set_default_max_depth
-            from gaugekit.sets import set_depth_cap
-
-            set_default_max_depth(64)
-            set_depth_cap(200)
+    def test_depth_cap_failure_exit_3(self, tmp_path, monkeypatch):
+        keep_caps(monkeypatch)
+        monkeypatch.setenv("GAUGEKIT_DEPTH_CAP", "3")
+        code = run(
+            tmp_path, "partition", "--domain", "0", "1", "--gauge", "const:1/100"
+        )
         assert code == 3
+
+    @pytest.mark.parametrize("cap", ("abc", "0"))
+    def test_bad_depth_cap_exit_1(self, tmp_path, monkeypatch, capsys, cap):
+        before = keep_caps(monkeypatch)
+        monkeypatch.setenv("GAUGEKIT_DEPTH_CAP", cap)
+        code = run(
+            tmp_path, "partition", "--domain", "0", "1", "--gauge", "const:1/100"
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: GAUGEKIT_DEPTH_CAP={cap!r}: ")
+        assert (core.MAX_DEPTH_DEFAULT, sets.DEPTH_CAP_DEFAULT) == before
+        assert not os.listdir(tmp_path)
 
 
 class TestVariation:
@@ -217,6 +234,34 @@ class TestCounterexample:
         assert code == 0
         doc = load(tmp_path, "gaugekit-counterexample.json")
         assert doc["points"] == 8 and doc["all_ok"] is True
+
+    def test_x_index_takes_python_indices(self, tmp_path, capsys):
+        # the depth-3 stage has 16 endpoints: -16 is the first, 0/1
+        argv = ("counterexample", "--svc", "-n", "3", "--endpoint-depth", "3")
+        assert run(tmp_path, *argv, "--x-index", "-16") == 0
+        doc = load(tmp_path, "gaugekit-counterexample.json")
+        assert doc["checks"][0]["x"] == "0/1"
+        for k in ("16", "-17", "99999"):
+            assert run(tmp_path, *argv, "--x-index", k, "--out", "bad.json") == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: endpoint index {k} out of range for the 16 ")
+        assert not (tmp_path / "bad.json").exists()
+
+    def test_endpoints_build_no_stage(self, tmp_path, monkeypatch):
+        def refuse(s, depth):
+            raise AssertionError(f"realized stage {depth} of {s.kind}")
+
+        want = oracle.stage_endpoints(sets.svc(), 14)
+        monkeypatch.setattr(sets, "realize", refuse)
+        xs = sets.endpoint_sample(sets.svc(), 14, 2000, seed=0)
+        picked = sorted(random.Random(0).sample(range(len(want)), 2000))
+        assert xs == tuple(want[k] for k in picked)
+        code = run(tmp_path, "counterexample", "--svc", "-n", "4",
+                   "--x-index", "12345", "--endpoint-depth", "14")
+        assert code == 0
+        doc = load(tmp_path, "gaugekit-counterexample.json")
+        x = want[12345]
+        assert doc["checks"][0]["x"] == f"{x.numerator}/{x.denominator}"
 
 
 class TestParsingVariants:

@@ -22,6 +22,7 @@ from gaugekit.sets import (
     svc_stage_interval,
     ternary_cantor,
 )
+import oracle
 from test_core import _counted
 
 C = ternary_cantor()
@@ -257,19 +258,36 @@ class TestBoundsAndLimits:
     @pytest.mark.parametrize("s", (C, D, S), ids=lambda s: s.kind)
     def test_stage_endpoints_strictly_increase(self, s):
         for depth in range(13):
-            pool = sets.stage_endpoints(s, depth)
-            assert len(pool) == 2 * len(realize(s, depth))
+            n = 2 * len(oracle.realize(s, depth))
+            pool = [sets.stage_endpoint(s, depth, k) for k in range(n)]
             assert all(a < b for a, b in zip(pool, pool[1:])), depth
+            with pytest.raises(ValueError, match=f"index {n} out of range for the {n} "):
+                sets.stage_endpoint(s, depth, n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((C, D, S)), st.integers(0, 9), st.integers(1, 300),
            st.integers(0, 2**32))
     def test_endpoint_sample_matches_sorted_pool_sample(self, s, depth, count, seed):
         # the sample drawn from the sorted set of endpoints, as it was drawn
-        pool = sorted({pt for c in realize(s, depth) for pt in (c.lo, c.hi)})
+        pool = sorted({pt for c in oracle.realize(s, depth) for pt in (c.lo, c.hi)})
         want = tuple(pool) if count >= len(pool) else tuple(
             sorted(random.Random(seed).sample(pool, count)))
         assert endpoint_sample(s, depth, count, seed) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((C, D, S)), st.integers(0, 12))
+    def test_stage_matches_level_by_level_build(self, s, depth):
+        assert realize(s, depth) == oracle.realize(s, depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((C, D, S)), st.integers(0, 12))
+    def test_endpoint_by_address_matches_pool(self, s, depth):
+        pool = oracle.stage_endpoints(s, depth)
+        n = len(pool)
+        for k in range(-n, n):
+            x = sets.stage_endpoint(s, depth, k)
+            assert x == pool[k], k
+            assert member(s, x), k
 
 
 class TestSvcHelpers:

@@ -227,8 +227,8 @@ class TestFatCantorWalk:
     def test_stage_endpoints_match_reference(self, depth, data):
         # realization endpoints are members: both walks settle them, and
         # both find the same stage intervals below them
-        cells = sets.realize(sets.svc(), depth)
-        x = data.draw(st.sampled_from([pt for c in cells for pt in (c.lo, c.hi)]))
+        k = data.draw(st.integers(0, (2 << depth) - 1))
+        x = sets.stage_endpoint(sets.svc(), depth, k)
         assert (sets._svc_classify(x.numerator, x.denominator, 200)
                 == reference_svc_locate(x, 200) == ("member", None))
         stage = data.draw(st.integers(0, depth + 8))
