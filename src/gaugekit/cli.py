@@ -31,7 +31,6 @@ from .core import (
     min_gauge,
     rat,
     rat_str,
-    set_default_max_depth,
     validate_partition,
 )
 from .errors import (
@@ -67,7 +66,7 @@ def _parse_eps_list(values) -> tuple:
     return tuple(Fraction(float(v)) for v in values)
 
 
-def _parse_set(spec: str):
+def _parse_set(spec: str, depth_cap: int):
     if spec == "empty":
         return None, "empty"
     if spec in ("C", "cantor"):
@@ -75,18 +74,18 @@ def _parse_set(spec: str):
     if spec in ("D", "reflected"):
         return sets.reflected_cantor(), "D"
     if spec in ("S", "svc"):
-        return sets.svc(), "S"
+        return sets.svc(depth_cap), "S"
     if spec.startswith("points:"):
         pts = tuple(rat(p) for p in spec[len("points:"):].split(","))
         return pts, spec
     raise ValueError(f"cannot parse set spec {spec!r}")
 
 
-def _parse_gauge(spec: str) -> Gauge:
+def _parse_gauge(spec: str, depth_cap: int) -> Gauge:
     if spec.startswith("const:"):
         return constant_gauge(rat(spec[len("const:"):]))
     if spec.startswith("dist:"):
-        s, _ = _parse_set(spec[len("dist:"):])
+        s, _ = _parse_set(spec[len("dist:"):], depth_cap)
         if not isinstance(s, sets.GeneratedSet):
             raise ValueError("dist: gauge needs a generated set")
         from . import variation
@@ -94,13 +93,13 @@ def _parse_gauge(spec: str) -> Gauge:
         return variation.gauge_dist_complement(s)
     if spec.startswith("min:"):
         left, right = spec[len("min:"):].split("+")
-        return min_gauge(_parse_gauge(left), _parse_gauge(right))
+        return min_gauge(_parse_gauge(left, depth_cap), _parse_gauge(right, depth_cap))
     raise ValueError(f"cannot parse gauge spec {spec!r}")
 
 
 def _gauge_builder(args, set_obj):
     if getattr(args, "gauge", None):
-        g = _parse_gauge(args.gauge)
+        g = _parse_gauge(args.gauge, args.depth_cap)
     else:
         from . import variation
 
@@ -108,11 +107,11 @@ def _gauge_builder(args, set_obj):
     return lambda eps: g
 
 
-def _lookup_fn(name: str):
+def _lookup_fn(args):
     try:
-        return funcs.lookup(name)
+        return funcs.lookup(args.fn, args.depth_cap)
     except KeyError as exc:
-        raise SystemExitCode(EXIT_UNKNOWN, f"unknown function {name!r}") from exc
+        raise SystemExitCode(EXIT_UNKNOWN, f"unknown function {args.fn!r}") from exc
 
 
 class SystemExitCode(Exception):
@@ -124,24 +123,25 @@ class SystemExitCode(Exception):
 def cmd_catalog(args) -> int:
     names = funcs.catalog_names()
     if args.out:
-        payload = {"functions": [funcs.lookup(n).descriptor() for n in names]}
+        payload = {"functions": [funcs.lookup(n, args.depth_cap).descriptor() for n in names]}
         _write_report(args.out, "catalog", payload)
     print("catalog: " + " ".join(names))
     return EXIT_OK
 
 
 def cmd_integrate(args) -> int:
-    f = _lookup_fn(args.fn)
+    f = _lookup_fn(args)
     a, b = rat(args.domain[0]), rat(args.domain[1])
     schedule = _parse_eps_list(args.eps)
     family = lambda eps: constant_gauge(eps)
     if args.gauge:
-        g = _parse_gauge(args.gauge)
+        g = _parse_gauge(args.gauge, args.depth_cap)
         family = lambda eps: g
     report = hk_estimate(
         f, a, b, family, schedule,
         samples_per_eps=args.samples, seed=args.seed,
         tol=None if args.tol is None else Fraction(float(args.tol)),
+        max_depth=args.max_depth,
     )
     out = args.out or "gaugekit-integrate.json"
     _write_report(out, "integrate", report.payload())
@@ -157,16 +157,16 @@ def cmd_integrate(args) -> int:
 def cmd_partition(args) -> int:
     a, b = rat(args.domain[0]), rat(args.domain[1])
     domain = Iv(a, b)
-    gauge = _parse_gauge(args.gauge)
+    gauge = _parse_gauge(args.gauge, args.depth_cap)
     rng = None
     if args.seed is not None:
         import random
 
         rng = random.Random(args.seed)
-    part = cousin_partition(domain, gauge, rng=rng)
+    part = cousin_partition(domain, gauge, max_depth=args.max_depth, rng=rng)
     rep = validate_partition(part)
     sub = is_subordinate(part, gauge)
-    f = funcs.lookup(args.fn) if args.fn else None
+    f = funcs.lookup(args.fn, args.depth_cap) if args.fn else None
     out = args.out or "gaugekit-partition.csv"
     dump_partition_csv(out, part, gauge, f)
     print(
@@ -179,8 +179,8 @@ def cmd_partition(args) -> int:
 def cmd_variation(args) -> int:
     from . import variation
 
-    f = _lookup_fn(args.fn)
-    set_obj, set_name = _parse_set(args.set)
+    f = _lookup_fn(args)
+    set_obj, set_name = _parse_set(args.set, args.depth_cap)
     a, b = rat(args.domain[0]), rat(args.domain[1])
     domain = Iv(a, b)
     schedule = _parse_eps_list(args.eps)
@@ -190,7 +190,8 @@ def cmd_variation(args) -> int:
         gauge = _gauge_builder(args, set_obj)(schedule[0])
         strategy = _parse_strategy(args.adversary)
         res = variation.adversarial_variation(
-            f, set_obj, gauge, strategy, seed=args.seed, domain=domain
+            f, set_obj, gauge, strategy, seed=args.seed, domain=domain,
+            max_depth=args.max_depth,
         )
         witness_csv = os.path.splitext(out)[0] + "-witness.csv"
         dump_partition_csv(witness_csv, res.witness, gauge, f)
@@ -214,6 +215,7 @@ def cmd_variation(args) -> int:
     report = variation.test_negligible_variation(
         f, set_obj, builder, schedule,
         samples=args.samples, seed=args.seed, domain=domain, set_name=set_name,
+        max_depth=args.max_depth,
     )
     _write_report(out, "variation", report.payload())
     if report.witness is not None:
@@ -259,7 +261,8 @@ def cmd_cov(args) -> int:
     interval = _interval_from(args, inst.domain)
     schedule = _parse_eps_list(args.eps)
     report = covmod.cov_check(
-        inst, interval, schedule, samples=args.samples, seed=args.seed
+        inst, interval, schedule, samples=args.samples, seed=args.seed,
+        max_depth=args.max_depth,
     )
     out = args.out or "gaugekit-cov.json"
     payload = report.payload()
@@ -282,7 +285,7 @@ def cmd_cov(args) -> int:
 def cmd_ftc(args) -> int:
     from . import cov as covmod
 
-    g = _lookup_fn(args.fn)
+    g = _lookup_fn(args)
     a, b = rat(args.domain[0]), rat(args.domain[1])
     schedule = _parse_eps_list(args.eps)
     try:
@@ -290,7 +293,8 @@ def cmd_ftc(args) -> int:
     except UnsupportedInstanceError as exc:
         raise SystemExitCode(EXIT_UNSUPPORTED, str(exc)) from exc
     report = covmod.cov_check(
-        inst, Iv(a, b), schedule, samples=args.samples, seed=args.seed
+        inst, Iv(a, b), schedule, samples=args.samples, seed=args.seed,
+        max_depth=args.max_depth,
     )
     out = args.out or "gaugekit-ftc.json"
     _write_report(out, "ftc", report.payload())
@@ -319,7 +323,8 @@ def cmd_scan(args) -> int:
         grid = [Iv(a, b) for a, b in zip(vals[::2], vals[1::2])]
     schedule = _parse_eps_list(args.eps)
     report = covmod.cov_scan_all_subintervals(
-        inst, grid, schedule, samples=args.samples, seed=args.seed
+        inst, grid, schedule, samples=args.samples, seed=args.seed,
+        max_depth=args.max_depth,
     )
     out = args.out or "gaugekit-scan.json"
     _write_report(out, "scan", report.payload())
@@ -337,10 +342,12 @@ def cmd_counterexample(args) -> int:
     if not args.svc:
         raise ValueError("only the --svc counterexample is available")
     depth = args.endpoint_depth
-    if args.points:
+    if args.points is not None:
+        if args.points < 1:
+            raise ValueError(f"--points must be at least 1, got {args.points}")
         xs = sets.endpoint_sample(sets.svc(), depth, args.points, seed=args.seed)
     else:
-        xs = (sets.stage_endpoint(sets.svc(), depth, args.x_index),)
+        xs = (sets.stage_endpoint(sets.svc(), depth, args.x_index or 0),)
     prec = Fraction(float(args.prec))
     checks = [covmod.svc_composition_check(args.n, x, prec) for x in xs]
     all_ok = all(c.ok for c in checks)
@@ -426,8 +433,11 @@ def _args_scan(sp):
 def _args_counterexample(sp):
     sp.add_argument("--svc", action="store_true")
     sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--x-index", type=int, default=0)
-    sp.add_argument("--points", type=int)
+    which = sp.add_mutually_exclusive_group()
+    # no default value: argparse lets an argument given at its default
+    # value through the group
+    which.add_argument("--x-index", type=int, help="default 0")
+    which.add_argument("--points", type=int)
     sp.add_argument("--endpoint-depth", type=int, default=12)
     sp.add_argument("--prec", default="1e-9")
     sp.add_argument("--seed", type=int, default=0)
@@ -493,12 +503,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # one cap, when set, for every bisection and every fat-Cantor set
+        # of the run; the commands pass it down
+        args.max_depth, args.depth_cap = None, sets.DEPTH_CAP_DEFAULT
         cap = os.environ.get("GAUGEKIT_DEPTH_CAP")
         if cap:
-            # both setters reject a cap below 1 before they set it
             try:
-                set_default_max_depth(int(cap))
-                sets.set_depth_cap(int(cap))
+                args.max_depth = args.depth_cap = int(cap)
+                if args.max_depth < 1:
+                    raise ValueError("depth cap must be positive")
             except ValueError as exc:
                 raise ValueError(f"GAUGEKIT_DEPTH_CAP={cap!r}: {exc}") from None
         return args.fn_impl(args)

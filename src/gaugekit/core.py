@@ -32,14 +32,6 @@ ONE = Fraction(1)
 MAX_DEPTH_DEFAULT = 64
 
 
-def set_default_max_depth(n: int) -> None:
-    """Override the process-wide bisection depth cap (CLI plumbing)."""
-    global MAX_DEPTH_DEFAULT
-    if n < 1:
-        raise ValueError("depth cap must be positive")
-    MAX_DEPTH_DEFAULT = int(n)
-
-
 def rat(value, den=None) -> Fraction:
     """Build an exact rational from int, 'num/den' string or Fraction."""
     if den is not None:

@@ -422,6 +422,7 @@ def cov_scan_all_subintervals(
     schedule: Sequence = (Fraction(1, 10), Fraction(1, 100)),
     samples: int = 5,
     seed: int = 0,
+    max_depth: Optional[int] = None,
 ) -> ScanReport:
     """cov_check per grid cell, joined with the absolute-criterion report.
 
@@ -437,7 +438,7 @@ def cov_scan_all_subintervals(
     out = []
     any_fail = False
     for k, cell in enumerate(grid):
-        rep = cov_check(inst, cell, schedule, samples, seed + k)
+        rep = cov_check(inst, cell, schedule, samples, seed + k, max_depth)
         out.append((cell, rep))
         if rep.verdict == "refuted":
             any_fail = True
@@ -445,7 +446,7 @@ def cov_scan_all_subintervals(
     builder = lambda e: proof_gauge(inst, e)
     nv_on_b = test_negligible_variation(
         inst.fog, inst.B, builder, schedule, samples=samples,
-        seed=seed + 101, domain=inst.domain, set_name="B",
+        seed=seed + 101, domain=inst.domain, set_name="B", max_depth=max_depth,
     )
     nv_refuted = any_fail or not nv_on_b.nv_all
 
@@ -453,13 +454,13 @@ def cov_scan_all_subintervals(
     if inst.zero_deriv_set is not None:
         rep = test_negligible_variation(
             inst.fog, inst.zero_deriv_set, builder, schedule, samples=samples,
-            seed=seed + 202, domain=inst.domain, set_name="{g'=0}",
+            seed=seed + 202, domain=inst.domain, set_name="{g'=0}", max_depth=max_depth,
         )
         equiv.append(("{g'=0}", rep))
     for label, null_set in inst.null_sets:
         rep = test_negligible_variation(
             inst.fog, null_set, builder, schedule, samples=samples,
-            seed=seed + 303, domain=inst.domain, set_name=label,
+            seed=seed + 303, domain=inst.domain, set_name=label, max_depth=max_depth,
         )
         equiv.append((label, rep))
     rhs_ok = all(rep.nv_all for _, rep in equiv)
@@ -519,7 +520,7 @@ def svc_composition_check(n: int, x, prec=Fraction(1, 10**9)) -> SvcCompositionC
     stage = sets.svc_stage_interval(x, n)  # raises DomainError off the set
     y = stage.midpoint
     gap_half = Fraction(1, 2 ** (2 * n + 3))
-    if sets.distance(sets.svc(), y) != gap_half:
+    if sets.distance(sets.svc(n + 1), y) != gap_half:  # y's gap is n + 1 steps down
         raise AssertionError("gap geometry violated; construction bug")
     d = abs(y - x)
     if d == 0:

@@ -336,12 +336,12 @@ def cantor_abs(x) -> Fraction:
     return cantor_fn(abs(x))
 
 
-def svc_dist_fn(x) -> Fraction:
-    """Exact distance from x in [0, 1] to the fat Cantor set; 0 on it."""
+def svc_dist_fn(x, S: sets.GeneratedSet = sets.svc()) -> Fraction:
+    """Exact distance from x in [0, 1] to the fat Cantor set ``S``; 0 on it."""
     x = Fraction(x)
     if not ZERO <= x <= ONE:
         raise DomainError(f"svc_dist_fn needs x in [0,1], got {x}", witness=x)
-    return sets.distance(sets.svc(), x)
+    return sets.distance(S, x)
 
 
 def _iroot4(n: int) -> int:
@@ -530,31 +530,27 @@ def cantor_abs_spec() -> FnSpec:
     )
 
 
-def _svc_gap_center(x: Fraction) -> bool:
-    S = sets.svc()
-    if not S.base.interior_contains(x):
-        return False
-    if sets.member(S, x):
-        return False
-    return x == sets.complement_component(S, x).interval.midpoint
-
-
-def svc_dist_spec() -> FnSpec:
-    S = sets.svc()
+def svc_dist_spec(depth_cap: int = sets.DEPTH_CAP_DEFAULT) -> FnSpec:
+    """The distance to S; its queries walk S at most ``depth_cap`` steps."""
+    S = sets.svc(depth_cap)
 
     def deriv(x):
         # inside a removed gap the distance function is a tent with slope ±1
         comp = sets.complement_component(S, Fraction(x)).interval
         return ValueWithError(ONE if x < comp.midpoint else -ONE)
 
+    def gap_center(x: Fraction) -> bool:
+        return (S.base.interior_contains(x) and not sets.member(S, x)
+                and x == sets.complement_component(S, x).interval.midpoint)
+
     failure = UnionFailureSet(
         GeneratedFailureSet(S),
-        PredicateFailureSet(_svc_gap_center, "fat-Cantor gap centers"),
+        PredicateFailureSet(gap_center, "fat-Cantor gap centers"),
     )
     return FnSpec(
         name="svc_dist",
         domain=Iv(0, 1),
-        eval=lambda x: ValueWithError(svc_dist_fn(x)),
+        eval=lambda x: ValueWithError(svc_dist_fn(x, S)),
         deriv=deriv,
         failure_set=failure,
         range_hint=Iv(0, Fraction(1, 8)),
@@ -716,15 +712,16 @@ _ALIASES = {
 
 
 @lru_cache(maxsize=1)
-def catalog() -> dict:
-    """The named function registry (canonical names only; see lookup)."""
+def catalog(depth_cap: int = sets.DEPTH_CAP_DEFAULT) -> dict:
+    """The named function registry (canonical names only; see lookup); its
+    fat-Cantor entries walk S at most ``depth_cap`` steps."""
     cantor = cantor_fn_spec()
     cantor_abs_f = cantor_abs_spec()
     identity = identity_fn(Iv(-2, 2))
     square = square_fn(Iv(-1, 1))
     one = const_fn(1, Iv(-2, 2))
     zero = const_fn(0, Iv(-2, 2))
-    svc_d = svc_dist_spec()
+    svc_d = svc_dist_spec(depth_cap)
     qroot = quartic_root_spec()
     entries = {
         "identity": identity,
@@ -742,8 +739,8 @@ def catalog() -> dict:
     return entries
 
 
-def lookup(name: str) -> FnSpec:
-    reg = catalog()
+def lookup(name: str, depth_cap: int = sets.DEPTH_CAP_DEFAULT) -> FnSpec:
+    reg = catalog(depth_cap)
     key = _ALIASES.get(name, name)
     if key not in reg:
         raise KeyError(f"unknown catalog function {name!r}")

@@ -11,7 +11,7 @@ periodic, so the scan is finite). The fat-Cantor construction has no
 depth-independent digit map, so its queries walk the construction tree:
 realization endpoints are recognized as members immediately, points falling
 into a removed gap are resolved at that gap's depth, and anything still
-ambiguous at the depth cap raises UndecidedError with certified bounds.
+ambiguous at the set's depth cap raises UndecidedError with certified bounds.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ TERNARY_CANTOR = "ternary_cantor"
 REFLECTED_CANTOR = "reflected_cantor"
 SVC = "svc"
 
-# Construction-walk depth cap; queries that would need to look deeper
-# return certified bounds instead of an exact answer.
+# A fat-Cantor set's default walk depth cap; queries that would need to
+# look deeper return certified bounds instead of an exact answer.
 DEPTH_CAP_DEFAULT = 200
 
 # realize() materializes 2^depth cells; refuse to allocate absurd amounts,
@@ -37,18 +37,11 @@ DEPTH_CAP_DEFAULT = 200
 REALIZE_DEPTH_LIMIT = 24
 
 
-def set_depth_cap(n: int) -> None:
-    """Override the process-wide walk depth cap (CLI plumbing)."""
-    global DEPTH_CAP_DEFAULT
-    if n < 1:
-        raise ValueError("depth cap must be positive")
-    DEPTH_CAP_DEFAULT = int(n)
-
-
 @record
 class GeneratedSet:
     kind: str
     base: Iv
+    depth_cap: int = DEPTH_CAP_DEFAULT  # of the fat-Cantor walk; C and D read none
 
     def __str__(self):
         return self.kind
@@ -62,8 +55,8 @@ def reflected_cantor() -> GeneratedSet:
     return GeneratedSet(REFLECTED_CANTOR, Iv(-1, 1))
 
 
-def svc() -> GeneratedSet:
-    return GeneratedSet(SVC, Iv(0, 1))
+def svc(depth_cap: int = DEPTH_CAP_DEFAULT) -> GeneratedSet:
+    return GeneratedSet(SVC, Iv(0, 1), depth_cap)
 
 
 @record
@@ -271,23 +264,21 @@ def _locate_default(kind: str, p: int, q: int, depth_cap: int):
     return _classify(kind, p, q, depth_cap)
 
 
-def _locate_memo(s: GeneratedSet, x: Fraction, depth_cap=None):
-    if depth_cap is None:
-        return _locate_default(s.kind, x.numerator, x.denominator, DEPTH_CAP_DEFAULT)
-    return _classify(s.kind, x.numerator, x.denominator, depth_cap)
+def _locate_memo(s: GeneratedSet, x: Fraction):
+    return _locate_default(s.kind, x.numerator, x.denominator, s.depth_cap)
 
 
-def member(s: GeneratedSet, x, depth_cap=None) -> bool:
+def member(s: GeneratedSet, x) -> bool:
     """Exact membership in the limit set; x must lie in the base interval."""
     if x.__class__ is not Fraction:
         x = Fraction(x)
     if x not in s.base:
         raise DomainError(f"{x} outside base {s.base} of {s.kind}", witness=x)
-    kind, _ = _locate_memo(s, x, depth_cap)
+    kind, _ = _locate_memo(s, x)
     return kind == "member"
 
 
-def complement_component(s: GeneratedSet, x, depth_cap=None) -> ComponentRef:
+def complement_component(s: GeneratedSet, x) -> ComponentRef:
     """The maximal open interval around x disjoint from the limit set."""
     if x.__class__ is not Fraction:
         x = Fraction(x)
@@ -295,14 +286,14 @@ def complement_component(s: GeneratedSet, x, depth_cap=None) -> ComponentRef:
         raise DomainError(
             f"{x} not interior to base {s.base} of {s.kind}", witness=x
         )
-    kind, data = _locate_memo(s, x, depth_cap)
+    kind, data = _locate_memo(s, x)
     if kind == "member":
         raise DomainError(f"{x} belongs to {s.kind}", witness=x)
     l, r, depth = data
     return ComponentRef(Iv(l, r), depth)
 
 
-def distance(s: GeneratedSet, x, depth_cap=None) -> Fraction:
+def distance(s: GeneratedSet, x) -> Fraction:
     """Exact distance from x to the limit set.
 
     Points outside the base interval are measured to the nearest hull
@@ -316,7 +307,7 @@ def distance(s: GeneratedSet, x, depth_cap=None) -> Fraction:
         return s.base.lo - x
     if x > s.base.hi:
         return x - s.base.hi
-    kind, data = _locate_memo(s, x, depth_cap)
+    kind, data = _locate_memo(s, x)
     if kind == "member":
         return Fraction(0)
     l, r, _ = data
@@ -336,10 +327,10 @@ def _inner_distance(x: Fraction, l: Fraction, r: Fraction) -> Fraction:
     return Fraction(an, ad)
 
 
-def distance_bounds(s: GeneratedSet, x, depth_cap=None) -> Tuple[Fraction, Fraction]:
+def distance_bounds(s: GeneratedSet, x) -> Tuple[Fraction, Fraction]:
     """Certified (lower, upper) bounds on the distance; equal when exact."""
     try:
-        d = distance(s, x, depth_cap)
+        d = distance(s, x)
         return (d, d)
     except UndecidedError as exc:
         return exc.bounds

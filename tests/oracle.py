@@ -29,10 +29,9 @@ def _locate_keyed_on_fraction(kind, x, depth_cap):
     return sets._classify(kind, x.numerator, x.denominator, depth_cap)
 
 
-def locate_memo(s, x, depth_cap=None):
+def locate_memo(s, x):
     """``sets._locate_memo`` with the memo keyed on the Fraction point."""
-    cap = sets.DEPTH_CAP_DEFAULT if depth_cap is None else depth_cap
-    return _locate_keyed_on_fraction(s.kind, x, cap)
+    return _locate_keyed_on_fraction(s.kind, x, s.depth_cap)
 
 
 def nearest_set_points(s, iv):

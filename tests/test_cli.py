@@ -21,13 +21,6 @@ def run(tmp_path, *argv):
         os.chdir(cwd)
 
 
-def keep_caps(monkeypatch):
-    """Restore both depth caps after the test; return their values."""
-    monkeypatch.setattr(core, "MAX_DEPTH_DEFAULT", core.MAX_DEPTH_DEFAULT)
-    monkeypatch.setattr(sets, "DEPTH_CAP_DEFAULT", sets.DEPTH_CAP_DEFAULT)
-    return core.MAX_DEPTH_DEFAULT, sets.DEPTH_CAP_DEFAULT
-
-
 def load(tmp_path, name):
     with open(tmp_path / name) as fh:
         return json.load(fh)
@@ -96,7 +89,6 @@ class TestPartition:
             assert all("/" in cell for cell in row)
 
     def test_depth_cap_failure_exit_3(self, tmp_path, monkeypatch):
-        keep_caps(monkeypatch)
         monkeypatch.setenv("GAUGEKIT_DEPTH_CAP", "3")
         code = run(
             tmp_path, "partition", "--domain", "0", "1", "--gauge", "const:1/100"
@@ -105,15 +97,42 @@ class TestPartition:
 
     @pytest.mark.parametrize("cap", ("abc", "0"))
     def test_bad_depth_cap_exit_1(self, tmp_path, monkeypatch, capsys, cap):
-        before = keep_caps(monkeypatch)
         monkeypatch.setenv("GAUGEKIT_DEPTH_CAP", cap)
         code = run(
             tmp_path, "partition", "--domain", "0", "1", "--gauge", "const:1/100"
         )
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: GAUGEKIT_DEPTH_CAP={cap!r}: ")
-        assert (core.MAX_DEPTH_DEFAULT, sets.DEPTH_CAP_DEFAULT) == before
+        assert (core.MAX_DEPTH_DEFAULT, sets.DEPTH_CAP_DEFAULT) == (64, 200)
         assert not os.listdir(tmp_path)
+
+    def test_answers_do_not_depend_on_cap_order(self, tmp_path, monkeypatch, capsys):
+        # no state is restored between runs: each run must see only its own
+        # cap, whatever ran before it in this process
+        commands = (("--domain", "0", "1", "--gauge", "const:1/100"),
+                    ("--domain", "1/3", "1", "--gauge", "dist:S"))
+        first, runs = {}, 0
+        for caps, order in ((("5", None, "5"), 1), ((None, "5", None), -1)):
+            for cap in caps:
+                if cap is None:
+                    monkeypatch.delenv("GAUGEKIT_DEPTH_CAP", raising=False)
+                else:
+                    monkeypatch.setenv("GAUGEKIT_DEPTH_CAP", cap)
+                for argv in commands[::order]:
+                    runs += 1
+                    cwd = tmp_path / str(runs)
+                    cwd.mkdir()
+                    code = run(cwd, "partition", *argv, "--out", "part.csv")
+                    out = cwd / "part.csv"
+                    got = (code, capsys.readouterr().err,
+                           out.read_bytes() if out.exists() else None)
+                    assert first.setdefault((cap, argv), got) == got
+        # the bisection cap: 1/100 needs 7 halvings; the walk cap: S's
+        # query at 2/3 is left undecided at the run's cap
+        assert [first[cap, commands[0]][0] for cap in ("5", None)] == [3, 0]
+        assert [first[cap, commands[1]][:2] for cap in ("5", None)] == [
+            (4, f"unsupported: fat-Cantor query for 2/3 unresolved at depth {d}\n")
+            for d in (5, 200)]
 
 
 class TestVariation:
@@ -246,6 +265,34 @@ class TestCounterexample:
             err = capsys.readouterr().err
             assert err.startswith(f"error: endpoint index {k} out of range for the 16 ")
         assert not (tmp_path / "bad.json").exists()
+
+    def test_gap_check_needs_no_cap(self, tmp_path, monkeypatch):
+        # the check walks to y's gap, n + 1 = 4 steps down: a run's cap of
+        # 2 does not reach the check
+        argv = ("counterexample", "--svc", "-n", "3", "--x-index", "5",
+                "--endpoint-depth", "4")
+        monkeypatch.delenv("GAUGEKIT_DEPTH_CAP", raising=False)
+        assert run(tmp_path, *argv, "--out", "uncapped.json") == 0
+        monkeypatch.setenv("GAUGEKIT_DEPTH_CAP", "2")
+        assert run(tmp_path, *argv, "--out", "capped.json") == 0
+        assert (tmp_path / "capped.json").read_bytes() == (tmp_path / "uncapped.json").read_bytes()
+
+    @pytest.mark.parametrize("given", (("--points", "2", "--x-index", "99999"),
+                                       ("--x-index", "0", "--points", "2")))
+    def test_points_and_x_index_exclude_each_other(self, tmp_path, capsys, given):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "counterexample", "--svc", "-n", "3", *given)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("count", ("0", "-2"))
+    def test_points_below_one_exit_1(self, tmp_path, capsys, count):
+        code = run(tmp_path, "counterexample", "--svc", "-n", "3", "--points", count,
+                   "--endpoint-depth", "3")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --points must be at least 1, got {count}\n"
+        assert not os.listdir(tmp_path)
 
     def test_endpoints_build_no_stage(self, tmp_path, monkeypatch):
         def refuse(s, depth):

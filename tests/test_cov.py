@@ -133,6 +133,24 @@ class TestCovCheck:
         with pytest.raises(DepthExhaustedError, match=r"const\(1/10\)"):
             cov_check(sampled, schedule=(F(1, 10),), samples=2, max_depth=2)
 
+    def test_scan_passes_its_cap_to_every_check(self, monkeypatch):
+        import inspect
+
+        caps = []
+        for name in ("cov_check", "test_negligible_variation"):
+            inner = getattr(cov, name)
+
+            def spy(*args, _inner=inner, **kwargs):
+                bound = inspect.signature(_inner).bind(*args, **kwargs).arguments
+                caps.append((_inner.__name__, bound.get("max_depth")))
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(cov, name, spy)
+        # one cell, then the NV reports on B, on {g'=0} and on one null set
+        cov_scan_all_subintervals(lookup_instance("square-sub"), [Iv(0, 1)], (F(1, 10),),
+                                  samples=2, max_depth=40)
+        assert caps == [("cov_check", 40)] + [("test_negligible_variation", 40)] * 3
+
     def test_ftc_is_the_f_one_instance(self):
         # same code path, same seed: identical values on both channels
         g = lookup("cantor_abs")

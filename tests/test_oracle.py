@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import oracle
 from gaugekit import cli, core, funcs, sets
+from gaugekit._record import replace
 from gaugekit.core import Gauge, Iv, constant_gauge
 from gaugekit.errors import GaugeKitError
 from gaugekit.funcs import GeneratedFailureSet
@@ -76,7 +77,8 @@ def test_locate_memo_matches_memo_keyed_on_fractions(queries):
     for s, x, cap in queries:
         if not _in_base(s, x):
             continue
-        assert _outcome(sets._locate_memo, s, x, cap) == _outcome(oracle.locate_memo, s, x, cap)
+        s = s if cap is None else replace(s, depth_cap=cap)
+        assert _outcome(sets._locate_memo, s, x) == _outcome(oracle.locate_memo, s, x)
 
 
 @settings(max_examples=300, deadline=None)

@@ -33,7 +33,7 @@ SPEC = {
     core.HkRow: (("eps", _D), ("sums", _D), ("spread", _D)),
     core.HkReport: (("fn_name", _D), ("a", _D), ("b", _D), ("rows", _D),
                     ("reversed_orientation", _D), ("tol", _D), ("converged", _D)),
-    sets.GeneratedSet: (("kind", _D), ("base", _D)),
+    sets.GeneratedSet: (("kind", _D), ("base", _D), ("depth_cap", 200)),
     sets.ComponentRef: (("interval", _D), ("depth_created", _D)),
     funcs.FnSpec: (("name", _D), ("domain", _D), ("eval", _D), ("deriv", None),
                    ("failure_set", funcs.EMPTY_FAILURE), ("modulus", None),

@@ -131,21 +131,21 @@ class TestMember:
 
     def test_odd_denominator_can_be_undecided(self):
         with pytest.raises(UndecidedError):
-            member(S, F(1, 3), depth_cap=50)
-        lo, hi = distance_bounds(S, F(1, 3), depth_cap=50)
+            member(sets.svc(50), F(1, 3))
+        lo, hi = distance_bounds(sets.svc(50), F(1, 3))
         assert lo == 0 and hi > 0
 
-    def test_cached_answer_does_not_outlive_its_cap(self):
+    @pytest.mark.parametrize("shallow_first", (True, False))
+    def test_answers_do_not_depend_on_cap_order(self, shallow_first):
+        # 5/1024 settles 6 steps down: a set walked 1 step cannot decide it,
+        # whichever set asked first, and no cache is cleared in between
         x = F(5, 1024)
-        assert member(S, x)
-        old = sets.DEPTH_CAP_DEFAULT
-        sets.set_depth_cap(1)
-        try:
-            with pytest.raises(UndecidedError):
-                member(S, x)
-        finally:
-            sets.set_depth_cap(old)
-        assert member(S, x)
+        for shallow in (shallow_first, not shallow_first) * 2:
+            if shallow:
+                with pytest.raises(UndecidedError):
+                    member(sets.svc(1), x)
+            else:
+                assert member(sets.svc(), x)
 
 
 class TestDistance:

@@ -514,9 +514,9 @@ class TestWorkCounts:
         lookups = []
         inner = sets._locate_memo
 
-        def counted(s, x, depth_cap=None):
+        def counted(s, x):
             lookups.append(x)
-            return inner(s, x, depth_cap)
+            return inner(s, x)
 
         monkeypatch.setattr(sets, "_locate_memo", counted)
         radius = variation.gauge_dist_complement(C).radius

@@ -85,6 +85,16 @@ def test_package_neither_generates_code_nor_imports_dataclasses():
         assert "dataclasses" not in imported, path.name
 
 
+def test_package_keeps_no_module_state_behind_global():
+    # every cap and setting travels as a value; nothing rebinds a module name
+    found = {}
+    for path in sorted((SRC / "gaugekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Global):
+                found.setdefault(path.name, []).append(node.lineno)
+    assert not found, f"global statements (module: lines): {found}"
+
+
 def _imported(stderr):
     """Module names from ``python -X importtime`` lines."""
     return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
