@@ -60,13 +60,33 @@ def _write_report(path: str, command: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """``text`` as an exact rational; a ValueError names ``flag``."""
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: cannot read {text!r} as a rational") from None
+
+
+def _real(flag: str, text: str) -> Fraction:
+    """The exact value of the float ``text``; a ValueError names ``flag``."""
+    try:
+        return Fraction(float(text))
+    except (ValueError, OverflowError):
+        raise ValueError(f"{flag}: {text!r} is not a finite number") from None
+
+
+def _domain(args) -> tuple:
+    return tuple(_rational("--domain", v) for v in args.domain)
+
+
 def _parse_eps_list(values) -> tuple:
     if not values:
         return (Fraction(1, 10), Fraction(1, 100))
-    return tuple(Fraction(float(v)) for v in values)
+    return tuple(_real("--eps", v) for v in values)
 
 
-def _parse_set(spec: str, depth_cap: int):
+def _parse_set(spec: str, depth_cap: int, flag: str = "--set"):
     if spec == "empty":
         return None, "empty"
     if spec in ("C", "cantor"):
@@ -76,23 +96,26 @@ def _parse_set(spec: str, depth_cap: int):
     if spec in ("S", "svc"):
         return sets.svc(depth_cap), "S"
     if spec.startswith("points:"):
-        pts = tuple(rat(p) for p in spec[len("points:"):].split(","))
+        pts = tuple(_rational(flag, p) for p in spec[len("points:"):].split(","))
         return pts, spec
     raise ValueError(f"cannot parse set spec {spec!r}")
 
 
 def _parse_gauge(spec: str, depth_cap: int) -> Gauge:
     if spec.startswith("const:"):
-        return constant_gauge(rat(spec[len("const:"):]))
+        return constant_gauge(_rational("--gauge", spec[len("const:"):]))
     if spec.startswith("dist:"):
-        s, _ = _parse_set(spec[len("dist:"):], depth_cap)
+        s, _ = _parse_set(spec[len("dist:"):], depth_cap, "--gauge")
         if not isinstance(s, sets.GeneratedSet):
             raise ValueError("dist: gauge needs a generated set")
         from . import variation
 
         return variation.gauge_dist_complement(s)
     if spec.startswith("min:"):
-        left, right = spec[len("min:"):].split("+")
+        parts = spec[len("min:"):].split("+")
+        if len(parts) != 2:
+            raise ValueError(f"--gauge: min: takes two specs joined by '+', got {spec!r}")
+        left, right = parts
         return min_gauge(_parse_gauge(left, depth_cap), _parse_gauge(right, depth_cap))
     raise ValueError(f"cannot parse gauge spec {spec!r}")
 
@@ -131,7 +154,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_integrate(args) -> int:
     f = _lookup_fn(args)
-    a, b = rat(args.domain[0]), rat(args.domain[1])
+    a, b = _domain(args)
     schedule = _parse_eps_list(args.eps)
     family = lambda eps: constant_gauge(eps)
     if args.gauge:
@@ -140,7 +163,7 @@ def cmd_integrate(args) -> int:
     report = hk_estimate(
         f, a, b, family, schedule,
         samples_per_eps=args.samples, seed=args.seed,
-        tol=None if args.tol is None else Fraction(float(args.tol)),
+        tol=None if args.tol is None else _real("--tol", args.tol),
         max_depth=args.max_depth,
     )
     out = args.out or "gaugekit-integrate.json"
@@ -155,7 +178,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    a, b = rat(args.domain[0]), rat(args.domain[1])
+    a, b = _domain(args)
     domain = Iv(a, b)
     gauge = _parse_gauge(args.gauge, args.depth_cap)
     rng = None
@@ -181,7 +204,7 @@ def cmd_variation(args) -> int:
 
     f = _lookup_fn(args)
     set_obj, set_name = _parse_set(args.set, args.depth_cap)
-    a, b = rat(args.domain[0]), rat(args.domain[1])
+    a, b = _domain(args)
     domain = Iv(a, b)
     schedule = _parse_eps_list(args.eps)
     out = args.out or "gaugekit-variation.json"
@@ -236,7 +259,7 @@ def _parse_strategy(spec: str):
     from . import variation
 
     if spec.startswith("split:"):
-        pts = tuple(rat(p) for p in spec[len("split:"):].split(","))
+        pts = tuple(_rational("--adversary", p) for p in spec[len("split:"):].split(","))
         return variation.SplitAt(*pts)
     if spec == "greedy":
         return variation.GreedySign()
@@ -247,7 +270,7 @@ def _parse_strategy(spec: str):
 
 def _interval_from(args, default: Iv) -> Iv:
     if args.interval:
-        return Iv(rat(args.interval[0]), rat(args.interval[1]))
+        return Iv(*(_rational("--interval", v) for v in args.interval))
     return default
 
 
@@ -286,7 +309,7 @@ def cmd_ftc(args) -> int:
     from . import cov as covmod
 
     g = _lookup_fn(args)
-    a, b = rat(args.domain[0]), rat(args.domain[1])
+    a, b = _domain(args)
     schedule = _parse_eps_list(args.eps)
     try:
         inst = covmod.ftc_instance(g)
@@ -317,7 +340,7 @@ def cmd_scan(args) -> int:
         raise SystemExitCode(EXIT_UNKNOWN, str(exc)) from exc
     grid = None
     if args.grid:
-        vals = [rat(v) for v in args.grid]
+        vals = [_rational("--grid", v) for v in args.grid]
         if len(vals) % 2:
             raise ValueError("--grid needs an even number of endpoints")
         grid = [Iv(a, b) for a, b in zip(vals[::2], vals[1::2])]
@@ -348,7 +371,7 @@ def cmd_counterexample(args) -> int:
         xs = sets.endpoint_sample(sets.svc(), depth, args.points, seed=args.seed)
     else:
         xs = (sets.stage_endpoint(sets.svc(), depth, args.x_index or 0),)
-    prec = Fraction(float(args.prec))
+    prec = _real("--prec", args.prec)
     checks = [covmod.svc_composition_check(args.n, x, prec) for x in xs]
     all_ok = all(c.ok for c in checks)
     payload = {

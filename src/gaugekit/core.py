@@ -234,15 +234,67 @@ class Item(NamedTuple):
 _tuple_new = tuple.__new__
 
 
+class _Block:
+    """A uniform block: the 2^depth equal cells of ``domain``, each tagged
+    at its midpoint (``PartitionTree._grow``). Its points are
+    lo + t·W/2^(depth+1), W the domain's width: cell ends for even t, tags
+    for odd t. ``items`` is built on its first read; sums read the tags."""
+
+    __slots__ = ("domain", "depth", "_items")
+
+    def __init__(self, domain: Iv, depth: int):
+        self.domain, self.depth, self._items = domain, depth, None
+
+    def __len__(self):
+        return 1 << self.depth
+
+    def points(self, odd: int):
+        """The points of even (odd = 0) or odd t, in order, as Fractions."""
+        lo = self.domain.lo
+        w = self.domain.hi - lo
+        shift = self.depth + 1
+        den = lo.denominator * w.denominator << shift
+        base = lo.numerator * w.denominator << shift
+        step = w.numerator * lo.denominator
+        for t in range(odd, (1 << shift) + 1, 2):
+            n = base + t * step
+            g = gcd(n, den)
+            q = _new_object(Fraction)  # _coprime_fraction(n // g, den // g), inlined
+            q._numerator = n // g
+            q._denominator = den // g
+            yield q
+
+    @property
+    def items(self) -> tuple:
+        if self._items is None:
+            ends = list(self.points(0))
+            self._items = tuple([
+                _tuple_new(Item, (m, _ordered_iv(a, b)))
+                for m, a, b in zip(self.points(1), ends, ends[1:])
+            ])
+        return self._items
+
+
 @record
 class TaggedPartition:
     """A finite tagged cover of ``domain`` by closed cells, sorted by cell.
 
-    Construction does not validate; use :func:`validate_partition`.
+    Construction does not validate; use :func:`validate_partition`. A
+    partition of a uniform block (``cousin_partition`` under a constant
+    gauge) keeps the block and reads its ``items`` from it on first access;
+    its length and sums need no items.
     """
 
     items: tuple
     domain: Iv
+    _block = None  # not a field: the uniform block of a lazy partition
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks: a lazy partition's items
+        if name != "items" or self._block is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self._block.items
 
     @classmethod
     def of(cls, items: Sequence, domain: Iv) -> "TaggedPartition":
@@ -258,7 +310,16 @@ class TaggedPartition:
         return iter(self.items)
 
     def __len__(self):
-        return len(self.items)
+        block = self._block
+        return len(self.items) if block is None else len(block)
+
+
+def _block_partition(block: _Block, domain: Iv) -> TaggedPartition:
+    """The partition of ``block`` over ``domain``, its items not yet built."""
+    p = _new_object(TaggedPartition)
+    object.__setattr__(p, "domain", domain)
+    object.__setattr__(p, "_block", block)
+    return p
 
 
 class Violation(NamedTuple):
@@ -338,12 +399,16 @@ class Gauge:
     ``radius`` maps a point to a positive rational. ``suggest_tag`` maps an
     interval to candidate tags inside it; it may be None. Suggestions come
     before the default candidates (endpoints, then midpoint) during
-    partition construction.
+    partition construction. ``constant``, when set, declares that
+    ``radius`` returns this Fraction at every point; a first build without
+    an rng then builds its uniform block from one radius call (see
+    ``PartitionTree._grow``).
     """
 
     radius: Callable[[Fraction], Fraction]
     suggest_tag: Optional[Callable[[Iv], Sequence[Fraction]]] = None
     name: str = "gauge"
+    constant: Optional[Fraction] = None
 
     def radius_at(self, x: Fraction) -> Fraction:
         try:
@@ -380,7 +445,7 @@ def constant_gauge(r, name: Optional[str] = None) -> Gauge:
     r = Fraction(r)
     if r <= 0:
         raise InvalidGaugeError(f"constant gauge radius must be positive, got {r}")
-    return Gauge(radius=lambda x: r, name=name or f"const({rat_str(r)})")
+    return Gauge(radius=lambda x: r, name=name or f"const({rat_str(r)})", constant=r)
 
 
 def min_gauge(a: Gauge, b: Gauge, name: Optional[str] = None) -> Gauge:
@@ -436,7 +501,8 @@ def _product_sums(factors, parts):
     (see ``_scaled_product``), or None where the term is 0 by convention. A
     cell's width is (hn·ld − ln·hd)/(ld·hd) from its endpoints, and
     ``_scaled_product`` folds it into the term, so no term builds a
-    Fraction."""
+    Fraction. The cells of a uniform block share one width: its terms are
+    summed unscaled, one tag at a time, and the totals scaled once."""
 
     def term(tag, cell):
         fs = factors(tag)
@@ -447,7 +513,21 @@ def _product_sums(factors, parts):
         vn, vd, en, ed = _scaled_product(fs, hi.numerator * ld - lo.numerator * hd, ld * hd)
         return ((vn, vd), (en, ed))
 
-    for part, (total, err) in _sample_sums(parts, term, 2):
+    def block_totals(block):
+        values, errs = {}, {}
+        for tag in block.points(1):
+            fs = factors(tag)
+            if fs is not None:
+                vn, vd, en, ed = _scaled_product(fs)
+                if vn:
+                    values[vd] = values.get(vd, 0) + vn
+                if en:
+                    errs[ed] = errs.get(ed, 0) + en
+        w = block.domain.hi - block.domain.lo
+        width = Fraction(w.numerator, w.denominator << block.depth)
+        return width * _total(values), width * _total(errs)
+
+    for part, (total, err) in _sample_sums(parts, term, 2, block_totals):
         yield part, ValueWithError(total, err)
 
 
@@ -482,7 +562,7 @@ def _scaled_product(factors, n: int = 1, d: int = 1):
     return vn, vd, un * vd - abs(vn) * ud, ud * vd
 
 
-def _sample_sums(parts, term, width: int):
+def _sample_sums(parts, term, width: int, block_totals=None):
     """Yield ``(partition, totals)`` for partitions replayed from one tree.
 
     ``term(tag, cell)`` is a tuple of ``width`` pairs of ints (numerator,
@@ -499,12 +579,20 @@ def _sample_sums(parts, term, width: int):
     would raise, at the same tag, since every unchanged tag's term was
     computed before without error. Only the previous partition's tags are
     kept, and a partition whose items are the previous one's (a closed
-    tree) is not walked.
+    tree) is not walked. Given ``block_totals(block)``, a partition of a
+    uniform block takes its totals from it, once per block, without its
+    items.
     """
     groups = [{} for _ in range(width)]
     tags = None
     prev = None
     for part in parts:
+        block = part._block
+        if block is not None and block_totals is not None:
+            if block is not prev:
+                prev, totals = block, block_totals(block)
+            yield part, totals
+            continue
         items = part.items
         if items is prev:  # a closed tree's replay: the same partition
             yield part, totals
@@ -520,7 +608,7 @@ def _sample_sums(parts, term, width: int):
             if new is not None:
                 _add(groups, new, 1)
         tags = [tag for tag, _ in items]
-        totals = tuple(sum((Fraction(n, d) for d, n in g.items()), ZERO) for g in groups)
+        totals = tuple(_total(g) for g in groups)
         yield part, totals
 
 
@@ -528,6 +616,11 @@ def _add(groups, t, sign: int) -> None:
     for group, (n, d) in zip(groups, t):
         if n:
             group[d] = group.get(d, 0) + sign * n
+
+
+def _total(group: dict) -> Fraction:
+    """The Fraction sum of a group's numerators over their denominators."""
+    return sum((Fraction(n, d) for d, n in group.items()), ZERO)
 
 
 def _order(n: int, rng: Optional[random.Random]):
@@ -594,6 +687,13 @@ def _candidates(sugg: tuple, lo: Fraction, hi: Fraction, m: Fraction):
     return (tuple(cands), *at[-3:])
 
 
+def _exhausted(iv: Iv, depth: int, gauge: Gauge) -> DepthExhaustedError:
+    return DepthExhaustedError(
+        f"no acceptable tag for {iv} after {depth} bisections under gauge {gauge.name!r}",
+        interval=iv,
+    )
+
+
 class PartitionTree:
     """The bisection of one domain under one gauge, recorded for replay.
 
@@ -620,7 +720,11 @@ class PartitionTree:
     verdicts known and exactly one candidate accepted: then every candidate
     order gives the same partition, and replays return the first build's
     items (the same tuple) without visiting a node or drawing anything from
-    the ``rng`` they are given. A replay without an ``rng`` tries each
+    the ``rng`` they are given. Under a gauge that declares a constant
+    radius (``Gauge.constant``) and no tag oracle, an rng-less first build
+    is usually a *uniform block*: a closed tree of equal midpoint-tagged
+    cells found from one radius call, whose partitions build their items
+    only when read (``_grow``). A replay without an ``rng`` tries each
     node's candidates in their recorded order, so it picks what the first
     such walk picked, and it returns that walk's items (the same tuple).
 
@@ -632,10 +736,12 @@ class PartitionTree:
     ``nodes`` holds, per node, either the candidate count of a bisected
     node (all of its candidates were rejected) or a tuple
     ``(cell, candidates, verdicts)`` for a cell, where ``verdicts[j]`` is
-    True (accepted), False (rejected) or None (not yet evaluated). ``items``
-    is the closed tree's partition, or None. A tree is bound to the domain,
-    the gauge object and the resolved depth cap of its first build; the
-    radius and tag oracle must be pure functions of their argument.
+    True (accepted), False (rejected) or None (not yet evaluated); a uniform
+    block records none. ``closed`` is the closed tree's items, its block,
+    or None, and ``items`` the closed tree's partition, or None. A tree is
+    bound to the domain, the gauge object and the resolved depth cap of its
+    first build; the radius and tag oracle must be pure functions of their
+    argument.
     """
 
     def __init__(self):
@@ -643,8 +749,13 @@ class PartitionTree:
         self.gauge: Optional[Gauge] = None
         self.max_depth: Optional[int] = None
         self.nodes: list = []
-        self.items: Optional[tuple] = None
+        self.closed = None
         self.first: Optional[tuple] = None
+
+    @property
+    def items(self) -> Optional[tuple]:
+        closed = self.closed
+        return closed.items if closed.__class__ is _Block else closed
 
     def _bind(self, domain: Iv, gauge: Gauge, max_depth: int) -> None:
         if self.gauge is None:
@@ -693,12 +804,33 @@ class PartitionTree:
         constant one, costs one reach. The cyclic collector is paused for
         the walk, which keeps almost everything it allocates, and resumed
         (if it was on) however the walk ends.
+
+        The uniform-block step replaces the walk when the gauge declares a
+        constant radius r (``Gauge.constant``) and no tag oracle, the build
+        has no ``rng``, and r <= W, so that the reach k is at least 1.
+        Every bisection point then has reach k, so the walk would build the
+        2^(k−1) cells of depth k − 1, each accepting its midpoint and
+        rejecting its endpoints (a closed tree), or raise at its leftmost
+        node of depth ``max_depth`` if k − 1 exceeds it. The step makes the
+        walk's first radius call, at lo, and returns that result as a
+        ``_Block`` without visiting a node. A reach of 0 (the root accepts
+        lo and stays open) and a shuffled build take the walk.
         """
         domain, gauge, max_depth = self.domain, self.gauge, self.max_depth
         radius_at = gauge.radius_at
         oracle = gauge.suggest_tag is not None
         width = domain.hi - domain.lo
         wn, wd = width.numerator, width.denominator
+        r = gauge.constant
+        if r is not None and rng is None and not oracle and wn * r.denominator >= r.numerator * wd:
+            r = radius_at(domain.lo)
+            depth = (wn * r.denominator // (wd * r.numerator)).bit_length() - 1
+            if depth > max_depth:
+                depth = max(max_depth, 0)
+                iv = _ordered_iv(domain.lo, domain.lo + Fraction(wn, wd << depth)) if depth else domain
+                raise _exhausted(iv, depth, gauge)
+            self.closed = _Block(domain, depth)
+            return self.closed
         nodes = []
         items = []
         closed = True
@@ -788,11 +920,7 @@ class PartitionTree:
                     else:
                         iv = domain
                 if tag is None:
-                    raise DepthExhaustedError(
-                        f"no acceptable tag for {iv} after {depth} bisections "
-                        f"under gauge {gauge.name!r}",
-                        interval=iv,
-                    )
+                    raise _exhausted(iv, depth, gauge)
                 items.append(_tuple_new(Item, (tag, iv)))
                 nodes.append((iv, cands, verdicts))
         finally:
@@ -801,14 +929,14 @@ class PartitionTree:
         # only a complete first build is kept: a failed one leaves the tree empty
         items = tuple(items)
         self.nodes = nodes
-        self.items = items if closed else None
+        self.closed = items if closed else None
         if rng is None:
             self.first = items
         return items
 
     def _replay(self, rng: Optional[random.Random]):
-        if self.items is not None:
-            return self.items
+        if self.closed is not None:
+            return self.closed
         if rng is None and self.first is not None:
             return self.first
         gauge = self.gauge
@@ -837,7 +965,7 @@ class PartitionTree:
         each cell with more than one. A radius or membership error
         propagates; the verdicts recorded before it stay valid.
         """
-        if self.items is not None:
+        if self.closed is not None:
             return True
         radius_at = self.gauge.radius_at
         for node in self.nodes:
@@ -885,6 +1013,11 @@ def cousin_partition(
     draws nothing from ``rng``. Raises ValueError if ``tree`` was recorded
     for another domain, gauge object or depth cap.
 
+    Under a gauge that declares a constant radius (``Gauge.constant``) and
+    no tag oracle, a first build without ``rng`` makes one radius call and
+    returns the same partition as a uniform block, whose items are built
+    when first read (``PartitionTree._grow``).
+
     Raises DepthExhaustedError carrying the smallest unaccepted interval if
     the cap is hit.
     """
@@ -893,7 +1026,10 @@ def cousin_partition(
     if tree is None:
         tree = PartitionTree()
     tree._bind(domain, gauge, max_depth)
-    items = tree._replay(rng) if tree.nodes else tree._grow(rng)
+    recorded = tree.nodes or tree.closed is not None
+    items = tree._replay(rng) if recorded else tree._grow(rng)
+    if items.__class__ is _Block:
+        return _block_partition(items, domain)
     # depth-first, left half first: the cells already come sorted
     return TaggedPartition(tuple(items), domain)
 

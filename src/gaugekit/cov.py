@@ -102,7 +102,10 @@ def proof_gauge(inst: CovInstance, eps) -> Gauge:
 
     With B empty and no tag oracle on B's gauge there is nothing to
     suggest, so the gauge has no oracle and the builder skips it; an empty
-    B is not asked about each radius point either."""
+    B is not asked about each radius point either. If, besides, F∘g's
+    modulus does not read x (it is marked ``x_free``, as the polynomial
+    catalog's are), the gauge is constant: it declares its one radius
+    (``Gauge.constant``), and the builder takes the uniform-block step."""
     eps = Fraction(eps)
     if inst.fog.modulus is None:
         raise UnsupportedInstanceError(
@@ -113,24 +116,19 @@ def proof_gauge(inst: CovInstance, eps) -> Gauge:
     half = eps / 2
     B, modulus, on_b_radius = inst.B, inst.fog.modulus, on_b.radius_at
     b_empty = B is EMPTY_FAILURE
-    last = (None, None)  # the latest modulus object and its radius
+    if b_empty and on_b.suggest_tag is None and getattr(modulus, "x_free", False):
+        r = min(Fraction(modulus(inst.domain.lo, half)), ONE)  # at any x
+        return Gauge(radius=lambda x: r, name=f"cov({inst.name})", constant=r)
 
     def radius(x):
-        nonlocal last
         if x.__class__ is not Fraction:
             x = Fraction(x)
         if not b_empty and x in B:
             return on_b_radius(x)
         r = modulus(x, half)
-        seen, out = last
-        if r is seen:  # a modulus constant in x returns one object
-            return out
         if r.__class__ is Fraction:  # a positive denominator: r > 1 on integers
-            out = ONE if r.numerator > r.denominator else r
-        else:
-            out = min(r, ONE)
-        last = (r, out)
-        return out
+            return ONE if r.numerator > r.denominator else r
+        return min(r, ONE)
 
     def suggest(iv):
         return B.suggestion_points(iv) + on_b.suggestions(iv)

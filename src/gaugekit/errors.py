@@ -20,6 +20,11 @@ class InvalidGaugeError(GaugeKitError):
     """A gauge radius evaluation failed or returned a non-positive value."""
 
 
+class InvalidSetError(GaugeKitError):
+    """A set was built with an invalid parameter, such as a fat-Cantor
+    walk depth cap below 1."""
+
+
 class PartitionMergeError(GaugeKitError):
     """Partition domains to be merged leave a gap or overlap."""
 

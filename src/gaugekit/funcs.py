@@ -411,6 +411,15 @@ def kernel_fns(kernel) -> dict:
     return {"eval": ev, "deriv": deriv}
 
 
+def _unit_modulus(x, eps):
+    return ONE
+
+
+# a modulus marked x_free does not read x: the proof gauge of a function
+# with such a modulus is a constant gauge (``cov.proof_gauge``)
+_unit_modulus.x_free = True
+
+
 def const_fn(c, domain: Iv, name: Optional[str] = None) -> FnSpec:
     c = Fraction(c)
     at = ((c.numerator, c.denominator), (0, 1))
@@ -425,7 +434,7 @@ def const_fn(c, domain: Iv, name: Optional[str] = None) -> FnSpec:
         domain=domain,
         eval=ev,
         deriv=deriv,
-        modulus=lambda x, eps: ONE,
+        modulus=_unit_modulus,
         monotone_breakpoints=(),
         dini_band=lambda x: 0,
         dini_eta1=lambda x: ONE,
@@ -438,7 +447,7 @@ def identity_fn(domain: Iv, name: str = "identity") -> FnSpec:
         name=name,
         domain=domain,
         **kernel_fns(lambda n, d: ((n, d), (1, 1))),
-        modulus=lambda x, eps: ONE,
+        modulus=_unit_modulus,
         monotone_breakpoints=(),
         dini_band=lambda x: 1,
         dini_eta1=lambda x: ONE,
@@ -458,6 +467,8 @@ def square_fn(domain: Iv, name: str = "square") -> FnSpec:
             ratio = Fraction(eps) / width
             last = (eps, ratio)
         return ratio
+
+    modulus.x_free = True
 
     def band(x):
         return int(2 * abs(Fraction(x)))

@@ -22,7 +22,7 @@ from typing import Tuple
 
 from ._record import record
 from .core import Iv
-from .errors import DomainError, UndecidedError
+from .errors import DomainError, InvalidSetError, UndecidedError
 
 TERNARY_CANTOR = "ternary_cantor"
 REFLECTED_CANTOR = "reflected_cantor"
@@ -42,6 +42,12 @@ class GeneratedSet:
     kind: str
     base: Iv
     depth_cap: int = DEPTH_CAP_DEFAULT  # of the fat-Cantor walk; C and D read none
+
+    def __post_init__(self):
+        # a walk of no step decides nothing, and a negative one cannot shift
+        cap = self.depth_cap
+        if cap.__class__ is not int or cap < 1:
+            raise InvalidSetError(f"set depth cap must be an integer >= 1, got {cap!r}")
 
     def __str__(self):
         return self.kind

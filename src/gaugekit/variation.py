@@ -52,11 +52,16 @@ def _variation_sums(f, S, parts):
     """Yield ``(partition, variation_sums(f, partition, S))`` for partitions
     replayed from one tree, resumming only the cells whose tag changed.
     Each increment is one unreduced numerator and denominator. An empty
-    ``S`` is asked nothing, but every partition is still drawn."""
-    empty = S is EMPTY_FAILURE
+    ``S`` is asked nothing and no cell is read, but every partition is
+    still drawn."""
+    if S is EMPTY_FAILURE:
+        zero = ValueWithError(ZERO)
+        for part in parts:
+            yield part, (zero, zero)
+        return
 
     def term(tag, cell):
-        if empty or tag not in S:
+        if tag not in S:
             return None
         hi = f(cell.hi)
         lo = f(cell.lo)

@@ -368,6 +368,25 @@ class TestParsingVariants:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("argv, err", (
+        # a ZeroDivisionError traceback before
+        (("partition", "--domain", "0", "1/0", "--gauge", "const:1/4"),
+         "--domain: cannot read '1/0' as a rational"),
+        # an OverflowError traceback before
+        (("integrate", "--fn", "linear", "--domain", "0", "1", "--eps", "inf", "--seed", "1"),
+         "--eps: 'inf' is not a finite number"),
+        # "cannot convert NaN to integer ratio" before
+        (("integrate", "--fn", "linear", "--domain", "0", "1", "--eps", "nan", "--seed", "1"),
+         "--eps: 'nan' is not a finite number"),
+        # "not enough values to unpack (expected 2, got 1)" before
+        (("partition", "--domain", "0", "1", "--gauge", "min:const:1/4"),
+         "--gauge: min: takes two specs joined by '+', got 'min:const:1/4'"),
+    ))
+    def test_bad_value_names_its_flag(self, tmp_path, capsys, argv, err):
+        assert run(tmp_path, *argv) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not os.listdir(tmp_path)
+
 
 class TestCatalog:
     def test_listing_and_descriptors(self, tmp_path, capsys):

@@ -299,11 +299,9 @@ def test_ftc_job_takes_no_cell_length(ftc_counts):
 
 
 # ---------------------------------------------------------------------------
-# calls of one ftc-square job: g, g' and f on integers, and a first build in
-# the fixed-order step; radius calls of one cantor-variation job
+# calls of one ftc-square job: g, g' and f on integers, and a first build
+# in the uniform-block step; radius calls of one cantor-variation job
 # ---------------------------------------------------------------------------
-
-FTC_NODES = 2 * FTC_CELLS - 1
 
 
 def _count_calls(argv, functions, directory):
@@ -344,6 +342,7 @@ def ftc_calls(tmp_path_factory):
         "Iv.__contains__": Iv.__contains__,
         "Gauge.radius_at": Gauge.radius_at,
         "EmptyFailureSet.__contains__": funcs.EmptyFailureSet.__contains__,
+        "_Block.items": core._Block.items.fget,
     }, tmp_path_factory.mktemp("ftc-calls"))
 
 
@@ -373,7 +372,15 @@ def test_ftc_job_asks_no_empty_set(ftc_calls):
 
 
 def test_ftc_job_evaluates_each_radius_once(ftc_calls):
-    assert ftc_calls["Gauge.radius_at"] == FTC_NODES + 2  # every midpoint, and the root's ends
+    # the proof gauge declares its constant radius: the job's one epsilon
+    # makes one radius call, where the walk made 8,193 (every midpoint of
+    # its 8,191 nodes, and the root's ends)
+    assert ftc_calls["Gauge.radius_at"] == 1
+
+
+def test_ftc_job_builds_no_item(ftc_calls):
+    # the block's sums read its tags; its 4,096 items are never read
+    assert ftc_calls["_Block.items"] == 0
 
 
 def test_cantor_job_evaluates_no_extra_radius(tmp_path):

@@ -29,7 +29,8 @@ SPEC = {
     core.ValueWithError: (("value", _D), ("err", F(0)), ("convention", False)),
     core.TaggedPartition: (("items", _D), ("domain", _D)),
     core.ValidationReport: (("ok", _D), ("violations", _D)),
-    core.Gauge: (("radius", _D), ("suggest_tag", None), ("name", "gauge")),
+    core.Gauge: (("radius", _D), ("suggest_tag", None), ("name", "gauge"),
+                 ("constant", None)),
     core.HkRow: (("eps", _D), ("sums", _D), ("spread", _D)),
     core.HkReport: (("fn_name", _D), ("a", _D), ("b", _D), ("rows", _D),
                     ("reversed_orientation", _D), ("tol", _D), ("converged", _D)),
@@ -147,8 +148,10 @@ def test_spec_lists_every_record():
 
 
 def _values(cls, tag=""):
-    """One hashable value per field, distinct per field name and tag."""
-    return [f"{cls.__name__}.{n}{tag}" for n, _ in SPEC[cls]]
+    """One hashable value per field, distinct per field name and tag; a
+    set's depth cap is checked, so it is an integer >= 1."""
+    return [7 + len(tag) if (cls, n) == (sets.GeneratedSet, "depth_cap")
+            else f"{cls.__name__}.{n}{tag}" for n, _ in SPEC[cls]]
 
 
 @pytest.mark.parametrize("cls", GENERIC, ids=lambda c: c.__name__)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugekit import Iv, funcs, sets
-from gaugekit.errors import DomainError, UndecidedError
+from gaugekit.errors import DomainError, InvalidSetError, UndecidedError
 from gaugekit.sets import (
     complement_component,
     distance,
@@ -134,6 +134,16 @@ class TestMember:
             member(sets.svc(50), F(1, 3))
         lo, hi = distance_bounds(sets.svc(50), F(1, 3))
         assert lo == 0 and hi > 0
+
+    @pytest.mark.parametrize("cap", (-3, 0, True, 1.0, "5"))
+    def test_walk_cap_below_one_is_refused_when_built(self, cap):
+        # a walk of no step left 1/2 undecided, and a negative cap raised a
+        # bare ValueError from a negative shift at the first query
+        with pytest.raises(InvalidSetError, match=f"got {cap!r}$"):
+            sets.svc(cap)
+        with pytest.raises(InvalidSetError):
+            sets.GeneratedSet(sets.TERNARY_CANTOR, Iv(0, 1), cap)
+        assert not member(sets.svc(1), F(1, 2))  # the least cap decides 1/2
 
     @pytest.mark.parametrize("shallow_first", (True, False))
     def test_answers_do_not_depend_on_cap_order(self, shallow_first):
