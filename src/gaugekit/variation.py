@@ -393,7 +393,7 @@ def _variation_samples(domain, gauge, samples, master, max_depth, tree, S):
     if first is None:
         return
     yield first
-    if samples > 1 and tree.nodes:
+    if samples > 1 and (tree.nodes or tree.closed is not None):
         try:
             agree = tree.tags_agree_on(S)
         except Exception:  # noqa: BLE001 - a replay raises it where it reaches it

@@ -343,6 +343,7 @@ def ftc_calls(tmp_path_factory):
         "Gauge.radius_at": Gauge.radius_at,
         "EmptyFailureSet.__contains__": funcs.EmptyFailureSet.__contains__,
         "_Block.items": core._Block.items.fget,
+        "cousin_partition": core.cousin_partition,
     }, tmp_path_factory.mktemp("ftc-calls"))
 
 
@@ -381,6 +382,12 @@ def test_ftc_job_evaluates_each_radius_once(ftc_calls):
 def test_ftc_job_builds_no_item(ftc_calls):
     # the block's sums read its tags; its 4,096 items are never read
     assert ftc_calls["_Block.items"] == 0
+
+
+def test_ftc_job_skips_the_variation_replays(ftc_calls):
+    # five Riemann samples and the variation channel's sample 0: the block
+    # tree is closed, so its tags agree on B and the other four are skipped
+    assert ftc_calls["cousin_partition"] == 6
 
 
 def test_cantor_job_evaluates_no_extra_radius(tmp_path):
